@@ -34,7 +34,7 @@ func main() {
 		method = flag.String("method", "cpa", "aggregation method: cpa, cpa-online, mv, em, bcc, cbcc, noz, nol")
 		out    = flag.String("out", "", "write consensus CSV here instead of stdout")
 		seed   = flag.Int64("seed", 1, "random seed for the model")
-		par    = flag.Int("parallelism", 0, "map-reduce shards for the CPA methods (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		par    = flag.Int("parallelism", 0, "map-reduce shards for fitting and predicting with the CPA methods (0 = GOMAXPROCS, 1 = serial); results are bit-identical for every value (block-order reductions)")
 	)
 	flag.Parse()
 

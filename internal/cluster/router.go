@@ -29,6 +29,8 @@ import (
 //     target to the final journal offset and promotes — the gate holds
 //     client writes (briefly) instead of failing them.
 //
+// Its endpoints:
+//
 //	POST /v1/jobs                       create (placed by rendezvous hashing)
 //	POST /v1/jobs/{id}/answers          ingest via the shard primary
 //	GET  /v1/jobs/{id}                  stats from the primary

@@ -161,10 +161,9 @@ func (m *Model) updateSticks() {
 }
 
 // updateLambda implements Eq. (6): λ_tmc = γ + Σ_i ϕ_it Σ_u κ_um x_iuc.
-// Shards accumulate the per-answer suffstats over disjoint item ranges into
-// private buffers that are reduced in shard order: results are
-// deterministic for a fixed Parallelism, and agree across Parallelism
-// values up to floating-point reduction order.
+// Fixed item blocks accumulate the per-answer suffstats into private
+// buffers that are reduced in block order, so results are bit-identical
+// for every Parallelism (mat.Sharded).
 func (m *Model) updateLambda() {
 	suff := m.ws.lambdaSuff
 	m.accLambda.Accumulate(suff, 0, len(suff), m.numItems, m.shardCount(m.numItems),
@@ -200,7 +199,7 @@ func (m *Model) updateZeta() {
 // assessing workers through their community is robust where per-worker data
 // is sparse), together with the community/worker two-coin rates against the
 // same consensus (requirement R2). Both passes run on the Algorithm 3
-// shards with deterministic shard-order reduction. Reliabilities are
+// shards with the shard-invariant block-order reduction. Reliabilities are
 // min-max normalised and floored, then folded into per-worker weights
 // w_u = Σ_m κ_um rel_m (DESIGN.md D2). The mutual reinforcement — better
 // consensus → sharper reliabilities → better consensus — is the iterative

@@ -75,8 +75,11 @@ type Config struct {
 	Seed int64
 
 	// Parallelism is the number of map shards P for the Algorithm 3
-	// map-reduce; 1 runs serially. Results are deterministic and identical
-	// for every P (per-shard partial sums are reduced in shard order).
+	// map-reduce of the model's own passes (Fit, PartialFit, Predict); 1
+	// runs serially. Results are bit-identical for every P: reductions sum
+	// per-block buffers whose layout depends only on the loop length, in
+	// block order (mat.Sharded). A Publisher ignores it and publishes on
+	// every core.
 	Parallelism int
 
 	// BatchSize is the number of answers per SVI mini-batch (Algorithm 2).
@@ -925,13 +928,15 @@ func (m *Model) Fitted() bool { return m.fitted }
 // Retune changes the model's Parallelism and/or mini-batch size between
 // rounds (0 keeps a knob unchanged) — the runtime lever of the serve layer's
 // auto-tuner (DESIGN.md §13). Both knobs are replay-invisible: fit results
-// are bit-identical across Parallelism settings (per-shard partial sums
-// reduce in shard order), and PartialFit consumes whatever batch it is
-// handed — mini-batch boundaries live in the serving journal's fit markers,
-// not in this config. The caller must own the model (the fitter goroutine)
-// and must not call this mid-round. The retuned config is validated as a
-// whole, so an AnswerWindow < BatchSize combination is rejected rather than
-// silently adopted.
+// are bit-identical across Parallelism settings (reductions sum per-block
+// buffers in block order, whatever the shard count), publication does not
+// follow Parallelism at all (a Publisher runs on every core), and
+// PartialFit consumes whatever batch it is handed — mini-batch boundaries
+// live in the serving journal's fit markers, not in this config. The caller
+// must own the model (the fitter goroutine) and must not call this
+// mid-round. The retuned config is validated as a whole, so an
+// AnswerWindow < BatchSize combination is rejected rather than silently
+// adopted.
 func (m *Model) Retune(parallelism, batchSize int) error {
 	cfg := m.cfg
 	if parallelism > 0 {

@@ -287,8 +287,9 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 				prior = m.labelPrev[c]
 			}
 			p := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*prior, 1e-6, 0.99)
-			base += math.Log1p(-p)
-			sc.delta[k][t] = math.Log(p) - math.Log1p(-p)
+			l1p := math.Log1p(-p)
+			base += l1p
+			sc.delta[k][t] = math.Log(p) - l1p
 		}
 		sc.runLogS[t] = base
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"cpa/internal/labelset"
@@ -234,11 +235,20 @@ func (c *Model) syncPublishState(src *Model) {
 	c.temp = src.temp
 }
 
-// publishFull syncs the clone and runs the legacy finalize pipeline on it.
+// publishParallelism is the shard count of every publication: all cores.
+// Publication sits on the critical path of consensus freshness, and the
+// block-order reductions of mat.Sharded make its output bit-identical for
+// any shard count, so it does not follow the job's Config.Parallelism —
+// that knob steers fitting (PartialFit, Fit) only.
+func publishParallelism() int { return runtime.GOMAXPROCS(0) }
+
+// publishFull syncs the clone and runs the legacy finalize pipeline on it,
+// with the clone's map and reduce steps on all cores.
 func (p *Publisher) publishFull() (*ConsensusView, error) {
 	p.ensureClone()
 	p.syncIntern()
 	p.clone.syncPublishState(p.src)
+	p.clone.cfg.Parallelism = publishParallelism()
 	p.cursor = 0
 	p.clone.FinalizeOnline()
 	view, err := p.clone.ConsensusView()
@@ -272,7 +282,7 @@ func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	}
 	preds := p.preds[:len(dirty)]
 	phiMAP := p.phiMAP
-	mat.ParallelFor(len(dirty), src.shardCount(len(dirty)), func(_, lo, hi int) {
+	mat.ParallelFor(len(dirty), mat.Shards(publishParallelism(), len(dirty)), func(_, lo, hi int) {
 		sc := newPredictScratch(src)
 		for k := lo; k < hi; k++ {
 			preds[k] = src.predictItemLocal(dirty[k], phiMAP, nbar, sc)

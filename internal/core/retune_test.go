@@ -2,17 +2,20 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"cpa/internal/answers"
+	"cpa/internal/datasets"
 	"cpa/internal/labelset"
 )
 
 // streamPredict feeds the dataset through PartialFit in batches of chop
 // answers, invoking retune (if non-nil) before the given round, then
 // finalizes and predicts. This is the serve-layer shape of training: the
-// caller chops the stream, the model never re-chops.
-func streamPredict(t testing.TB, ds *answers.Dataset, cfg Config, chop int, retuneRound int, retune func(*Model)) []labelset.Set {
+// caller chops the stream, the model never re-chops. It returns the
+// finalized model with its predictions.
+func streamPredict(t testing.TB, ds *answers.Dataset, cfg Config, chop int, retuneRound int, retune func(*Model)) ([]labelset.Set, *Model) {
 	t.Helper()
 	m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
 	if err != nil {
@@ -31,41 +34,60 @@ func streamPredict(t testing.TB, ds *answers.Dataset, cfg Config, chop int, retu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pred
+	return pred, m
 }
 
 // TestRetuneParallelismReplayInvisible pins the auto-tuner's core safety
 // argument (DESIGN.md §13): changing Parallelism between rounds is invisible
 // to the learned posterior. A run that retunes P mid-stream must be
-// bit-identical to uninterrupted runs at either endpoint — journal replay at
-// any fixed Parallelism then reproduces a tuned job's served history exactly.
+// bit-identical — predictions, κ, ϕ, λ, ζ, ŷ and reliabilities — to
+// uninterrupted runs at either endpoint, so journal replay at any fixed
+// Parallelism reproduces a tuned job's served history exactly. The image
+// stream has more items than one reduction block.
 func TestRetuneParallelismReplayInvisible(t *testing.T) {
-	ds := tieDataset(t)
-	cfg := Config{Seed: 17, Parallelism: 1, BatchSize: 8}
+	img, _, err := datasets.Load("image", 0.15, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = img.Shuffled(rand.New(rand.NewSource(17)))
+	for _, c := range []struct {
+		name string
+		ds   *answers.Dataset
+		chop int
+	}{{"ties", tieDataset(t), 8}, {"image", img, 64}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Seed: 17, Parallelism: 1, BatchSize: c.chop}
+			same := func(what string, a, b []labelset.Set, ma, mb *Model) {
+				t.Helper()
+				samePredictions(t, what, a, b)
+				sameModelBits(t, what, ma, mb)
+			}
 
-	ref := streamPredict(t, ds, cfg, 8, -1, nil)
-	tuned := streamPredict(t, ds, cfg, 8, 2, func(m *Model) {
-		if err := m.Retune(4, 0); err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Config().Parallelism; got != 4 {
-			t.Fatalf("Parallelism after Retune = %d, want 4", got)
-		}
-	})
-	samePredictions(t, "mid-stream P retune vs fixed P=1", ref, tuned)
+			ref, refM := streamPredict(t, c.ds, cfg, c.chop, -1, nil)
+			tuned, tunedM := streamPredict(t, c.ds, cfg, c.chop, 2, func(m *Model) {
+				if err := m.Retune(4, 0); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Config().Parallelism; got != 4 {
+					t.Fatalf("Parallelism after Retune = %d, want 4", got)
+				}
+			})
+			same("mid-stream P retune vs fixed P=1", ref, tuned, refM, tunedM)
 
-	cfg4 := cfg
-	cfg4.Parallelism = 4
-	fixed4 := streamPredict(t, ds, cfg4, 8, -1, nil)
-	samePredictions(t, "mid-stream P retune vs fixed P=4", fixed4, tuned)
+			cfg4 := cfg
+			cfg4.Parallelism = 4
+			fixed4, fixed4M := streamPredict(t, c.ds, cfg4, c.chop, -1, nil)
+			same("mid-stream P retune vs fixed P=4", fixed4, tuned, fixed4M, tunedM)
 
-	// Retuning down mid-stream is equally invisible.
-	down := streamPredict(t, ds, cfg4, 8, 1, func(m *Model) {
-		if err := m.Retune(1, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	samePredictions(t, "downward P retune", ref, down)
+			// Retuning down mid-stream is equally invisible.
+			down, downM := streamPredict(t, c.ds, cfg4, c.chop, 1, func(m *Model) {
+				if err := m.Retune(1, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			same("downward P retune", ref, down, refM, downM)
+		})
+	}
 }
 
 // TestRetuneBatchSizeOnlyChopsFutureBatches pins the other half of the
@@ -79,13 +101,13 @@ func TestRetuneBatchSizeOnlyChopsFutureBatches(t *testing.T) {
 	small := Config{Seed: 17, Parallelism: 2, BatchSize: 4}
 	large := Config{Seed: 17, Parallelism: 2, BatchSize: 32}
 
-	a := streamPredict(t, ds, small, 8, -1, nil)
-	b := streamPredict(t, ds, large, 8, -1, nil)
+	a, _ := streamPredict(t, ds, small, 8, -1, nil)
+	b, _ := streamPredict(t, ds, large, 8, -1, nil)
 	samePredictions(t, "BatchSize config vs fed boundaries", a, b)
 
 	// A mid-stream batch retune changes only what Config reports to the
 	// caller; fed the same boundaries the posterior is untouched.
-	tuned := streamPredict(t, ds, small, 8, 1, func(m *Model) {
+	tuned, _ := streamPredict(t, ds, small, 8, 1, func(m *Model) {
 		if err := m.Retune(0, 16); err != nil {
 			t.Fatal(err)
 		}

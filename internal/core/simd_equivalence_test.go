@@ -23,12 +23,9 @@ import (
 //     order as the scalar reference, so the fitted parameters are the same
 //     float64s no matter which instruction set computed them.
 //
-//  2. Parallelism invariance (prediction-exact): across Parallelism
-//     settings the sharded map-reduce merges per-shard partials in shard
-//     order, so raw parameters pick up low-bit differences from the
-//     re-associated merge adds — a pre-existing property of the parallel
-//     path, identical under every backend. Predictions (and the serve
-//     layer's pinned views, covered elsewhere) must still agree exactly.
+//  2. Parallelism invariance (bit-exact too): the sharded map-reduce sums
+//     fixed per-block buffers in block order whatever the shard count, so
+//     every Parallelism produces the same parameters and predictions.
 
 // fitFingerprint fits a fresh model and returns the flat parameter blocks
 // plus predictions. The caller compares fingerprints across backends.
@@ -117,13 +114,12 @@ func TestFitEquivalenceAcrossBackends(t *testing.T) {
 		if online {
 			name = "stream"
 		}
-		// predRef pins prediction invariance across every (backend, P) pair.
+		// predRef pins bit invariance across every (backend, P) pair.
 		predRef := fingerprint(t, "scalar", 1, online)
 		for _, par := range []int{1, 4, 8} {
-			// Bit-exactness is a backend property at fixed Parallelism:
-			// the scalar run at this P is the reference for every backend.
+			// The scalar run at this P is the reference for every backend.
 			ref := fingerprint(t, "scalar", par, online)
-			samePreds(t, name+"/scalar/P="+itoa(par), predRef, ref)
+			sameFingerprint(t, name+"/scalar/P="+itoa(par), predRef, ref)
 			for _, backend := range backends {
 				if backend == "scalar" {
 					continue

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -184,6 +185,43 @@ func TestShardedAccumulateDeterministic(t *testing.T) {
 			}
 			if got[k] != again[k] {
 				t.Fatalf("shards=%d: non-deterministic reduce at %d", shards, k)
+			}
+		}
+	}
+}
+
+// TestShardedAccumulateShardInvariant pins the reduce to the block layout:
+// over inputs whose float sums depend on association order (magnitudes
+// spanning 16 decades), every shard count yields the same bits, on loops
+// below, across and far beyond the block cap.
+func TestShardedAccumulateShardInvariant(t *testing.T) {
+	const size = 5
+	for _, n := range []int{1, 255, 257, 1000, 3 * maxBlocks * blockLen} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		vals := make([]float64, n*size)
+		for i := range vals {
+			vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)))
+		}
+		fn := func(buf []float64, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				for k := range buf {
+					buf[k] += vals[i*size+k]
+				}
+			}
+		}
+		var ref []float64
+		for shards := 1; shards <= 8; shards++ {
+			var acc Sharded
+			got := make([]float64, size)
+			acc.Accumulate(got, 0.1, size, n, shards, fn)
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+					t.Fatalf("n=%d shards=%d: dst[%d] = %v, shards=1 gave %v", n, shards, k, got[k], ref[k])
+				}
 			}
 		}
 	}

@@ -28,9 +28,9 @@ type Job struct {
 	// each behind the mutex. The queue is a head-indexed ring: dequeue
 	// advances head (amortised O(1)) instead of memmoving the tail, which
 	// would be O(depth) per mini-batch and quadratic under a deep backlog.
-	mu      sync.Mutex
-	queue   []answers.Answer
-	head    int
+	mu    sync.Mutex
+	queue []answers.Answer
+	head  int
 	// reserved counts answers sequenced into the commit pipeline but not yet
 	// durable (they join queue in commitDurable). Backpressure counts them:
 	// they are admitted load.
