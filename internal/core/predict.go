@@ -135,6 +135,7 @@ type predictScratch struct {
 	used    []bool       // greedy-search committed flags
 	seen    labelset.Set // candidate dedup bitset
 	extras  []scoredCand // prior-driven candidate buffer
+	active  []int        // communities of one answer's worker with κ ≥ 1e-10
 }
 
 type scoredCand struct {
@@ -149,6 +150,7 @@ func newPredictScratch(m *Model) *predictScratch {
 		trial:   make([]float64, m.T),
 		wt:      make([]float64, m.T),
 		seen:    labelset.New(m.numLabels),
+		active:  make([]int, 0, m.M),
 	}
 }
 
@@ -158,37 +160,50 @@ func newPredictScratch(m *Model) *predictScratch {
 // mixture per (answer, cluster) is a contiguous floored dot; answers without
 // a panel recompute the product with identical float-operation order.
 func (m *Model) predictItem(i int, psiMAP, phiMAP, nbar []float64, pp *prodCache, sc *predictScratch) labelset.Set {
-	M, T, C := m.M, m.T, m.numLabels
+	m.predictWeights(i, psiMAP, pp, sc)
+	return m.instantiateItem(i, phiMAP, nbar, sc)
+}
 
-	// Cluster posterior weights:
-	// ln w_it = ln ϕ_it + Σ_{u∈U_i} ln Σ_m κ_um p(x_iu | ψ_tm^MAP).
-	ansL := &m.perItem[i]
+// predictWeights fills sc.logW with the normalised cluster posterior
+// weights ln w_it = ln ϕ_it + Σ_{u∈U_i} ln Σ_m κ_um p(x_iu | ψ_tm^MAP).
+// The loop is answer-major: each answer's panel, κ row and set of active
+// communities are looked up once for all T clusters, while every
+// accumulator still adds its terms in the same order (answers in index
+// order, communities ascending), so the bits match a cluster-major loop.
+func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predictScratch) {
+	M, T, C := m.M, m.T, m.numLabels
 	for t := 0; t < T; t++ {
-		w := math.Log(math.Max(m.phi.At(i, t), 1e-300))
-		for s, sn := 0, ansL.segs(); s < sn; s++ {
-			for _, ar := range ansL.seg(s) {
-				kappaRow := m.kappa.Row(ar.other)
-				inner := 0.0
-				var panel []float64
-				if pp != nil {
-					panel = pp.panel(ar.set, T*M)
+		sc.logW[t] = math.Log(math.Max(m.phi.At(i, t), 1e-300))
+	}
+	ansL := &m.perItem[i]
+	for s, sn := 0, ansL.segs(); s < sn; s++ {
+		for _, ar := range ansL.seg(s) {
+			kappaRow := m.kappa.Row(ar.other)
+			act := sc.active[:0]
+			for mm, km := range kappaRow {
+				if km >= 1e-10 {
+					act = append(act, mm)
 				}
+			}
+			sc.active = act
+			var panel []float64
+			if pp != nil {
+				panel = pp.panel(ar.set, T*M)
+			}
+			var xs []int
+			if panel == nil {
+				xs = m.intern.Canon(ar.set)
+			}
+			for t := 0; t < T; t++ {
+				inner := 0.0
 				if panel != nil {
 					row := panel[t*M : t*M+M]
-					for mm, km := range kappaRow {
-						if km < 1e-10 {
-							continue
-						}
-						inner += km * row[mm]
+					for _, mm := range act {
+						inner += kappaRow[mm] * row[mm]
 					}
 				} else {
-					xs := m.intern.Canon(ar.set)
 					tBase := t * M * C
-					for mm := 0; mm < M; mm++ {
-						km := kappaRow[mm]
-						if km < 1e-10 {
-							continue
-						}
+					for _, mm := range act {
 						p := 1.0
 						base := tBase + mm*C
 						for _, c := range xs {
@@ -198,23 +213,21 @@ func (m *Model) predictItem(i int, psiMAP, phiMAP, nbar []float64, pp *prodCache
 							}
 							p *= v
 						}
-						inner += km * p
+						inner += kappaRow[mm] * p
 					}
 				}
 				if inner < 1e-300 {
 					inner = 1e-300
 				}
-				w += math.Log(inner)
+				sc.logW[t] += math.Log(inner)
 			}
 		}
-		sc.logW[t] = w
 	}
 	// Normalise for stability (constant shift does not change the argmax).
 	shift := mathx.LogSumExp(sc.logW)
 	for t := range sc.logW {
 		sc.logW[t] -= shift
 	}
-	return m.instantiateItem(i, phiMAP, nbar, sc)
 }
 
 // predictItemLocal is the incremental publisher's instantiation: cluster
@@ -279,20 +292,46 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 			sc.delta[k] = make([]float64, T)
 		}
 	}
-	for t := 0; t < T; t++ {
-		base := sc.logW[t]
-		for k, c := range candidates {
+	// Candidate-major pass. runLogS_t = ln w_t + Σ_k ln(1−p_tk) adds the
+	// candidates in order, as a cluster-major loop would, and δ_tk =
+	// ln p_tk − ln(1−p_tk) is kept only for candidates the greedy search
+	// can pick. The others are compacted away before the search: a
+	// candidate below pickableP in every cluster has δ_tk ≤ ln(0.49/0.51)
+	// ≈ −0.04 everywhere, so including it lowers the mixture score by at
+	// least 0.04 at every greedy step and it never clears the step's
+	// bestScore+1e-12 bar (DESIGN.md §8). The exhaustive search keeps every
+	// candidate, because trimToCap ranks them all.
+	copy(sc.runLogS, sc.logW)
+	pk := sc.trial // free until the search starts
+	live := 0
+	for k, c := range candidates {
+		// The slots of dropped candidates below k are free, so the gains
+		// land in slot live ≤ k; d holds ln(1−p_tk) until k proves pickable.
+		d := sc.delta[live]
+		pickable := m.cfg.ExhaustivePrediction
+		for t := 0; t < T; t++ {
 			prior := math.Min(nbar[t]*phiMAP[t*C+c], 0.95)
 			if m.labelPrev[c] > prior {
 				prior = m.labelPrev[c]
 			}
 			p := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*prior, 1e-6, 0.99)
 			l1p := math.Log1p(-p)
-			base += l1p
-			sc.delta[k][t] = math.Log(p) - l1p
+			sc.runLogS[t] += l1p
+			pk[t], d[t] = p, l1p
+			if p >= pickableP {
+				pickable = true
+			}
 		}
-		sc.runLogS[t] = base
+		if !pickable {
+			continue
+		}
+		for t := 0; t < T; t++ {
+			d[t] = math.Log(pk[t]) - d[t]
+		}
+		candidates[live] = c
+		live++
 	}
+	candidates = candidates[:live]
 
 	if m.cfg.ExhaustivePrediction {
 		m.trimToCap(candidates, sc)
@@ -300,6 +339,10 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 	}
 	return m.greedySearch(candidates, sc)
 }
+
+// pickableP is the inclusion probability a candidate must reach in at least
+// one cluster for the greedy search to consider it (see instantiateItem).
+const pickableP = 0.49
 
 // predictCandidates assembles the candidate label universe for an item:
 // voted labels always; plus the labels whose mixture inclusion probability

@@ -421,3 +421,37 @@ func TestApplierMatchesPrimary(t *testing.T) {
 		t.Fatalf("applier counters ingested=%d fitted=%d, want %d", ingested, fitted, len(all))
 	}
 }
+
+// TestJournalTailOfCrashedJob: a crashed job's journal endpoint answers 503,
+// not 400. Followers restage from scratch on a 400 ("from beyond durable"),
+// so a tail request landing between a primary's crash and its listener
+// closing must not look like one, or the follower drops every answer the
+// cluster acked before failing over to it.
+func TestJournalTailOfCrashedJob(t *testing.T) {
+	dir := t.TempDir()
+	ds := testStream(t, 0.02, 12)
+	reg := mustOpen(t, Config{Dir: dir, BatchWait: time.Millisecond})
+	ts := httptest.NewServer(NewServer(reg))
+	defer ts.Close()
+	client := ts.Client()
+	createJobHTTP(t, client, ts.URL, CreateJobRequest{
+		ID: "dead", Items: ds.NumItems, Workers: ds.NumWorkers, Labels: ds.NumLabels,
+		Model: core.Config{Seed: 12, BatchSize: 32},
+	})
+	postNDJSON(t, client, ts.URL+"/v1/jobs/dead/answers", ds.Answers()[:32])
+	job, _ := reg.Get("dead")
+	durable, _ := job.JournalOffsets()
+	reg.CrashAll()
+
+	for _, waitMS := range []int{0, 50} {
+		resp, err := client.Get(fmt.Sprintf("%s/v1/jobs/dead/journal?from=%d&wait_ms=%d", ts.URL, durable, waitMS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("tail of a crashed job (wait_ms=%d): status %d, want 503", waitMS, resp.StatusCode)
+		}
+	}
+}

@@ -35,9 +35,13 @@ type Job struct {
 	// durable (they join queue in commitDurable). Backpressure counts them:
 	// they are admitted load.
 	reserved int
-	closed   bool
-	crashed  bool // test hook: stop without draining or checkpointing
-	journal  *journal
+	// windowStart opens the BatchWait window (nextBatch): when the oldest
+	// queued answer was admitted, stamped as the queue goes from empty to
+	// non-empty, or the time of a full-size take that left a remainder.
+	windowStart time.Time
+	closed      bool
+	crashed     bool // test hook: stop without draining or checkpointing
+	journal     *journal
 	// epoch is the cluster-ownership record (epoch.go). Zero value — primary
 	// at epoch 0 — for single-node jobs that never see a Fence/Promote.
 	epoch epochState
@@ -53,6 +57,8 @@ type Job struct {
 	snap     atomic.Pointer[Snapshot]
 	snapTime atomic.Int64 // unixnano of the last publication
 	pubHist  publishHist  // publish-latency histogram (log₂ buckets)
+	// pubFullHist is pubHist restricted to full publications.
+	pubFullHist publishHist
 	// ingestHist aggregates group-commit observability (cohort sizes,
 	// append→durable latency); the journal's commit leader feeds it.
 	ingestHist ingestHist
@@ -71,6 +77,11 @@ type Job struct {
 	batchWait   time.Duration
 	truncate    bool
 	truncateMin int64
+
+	// replayed counts the fit rounds recovery replayed past the loaded
+	// checkpoint. They seed the fitter's checkpoint cadence, so a job
+	// killed again soon after a reopen replays fewer than SaveEvery rounds.
+	replayed int
 
 	wg sync.WaitGroup
 }
@@ -163,7 +174,7 @@ func (j *Job) IngestAt(batch []answers.Answer, epoch int64) error {
 	jr := j.journal
 	if jr == nil {
 		// Ephemeral job: no durability to wait for, queue directly.
-		j.queue = append(j.queue, batch...)
+		j.enqueueLocked(batch)
 		j.mu.Unlock()
 		if req != nil {
 			putCommitReq(req)
@@ -220,7 +231,7 @@ func (j *Job) commitDurable(batch []answers.Answer, err error) {
 	j.mu.Lock()
 	j.reserved -= len(batch)
 	if err == nil {
-		j.queue = append(j.queue, batch...)
+		j.enqueueLocked(batch)
 	}
 	j.mu.Unlock()
 	if err == nil {
@@ -255,9 +266,18 @@ func (j *Job) enqueueRecovered(pending []answers.Answer) {
 		return
 	}
 	j.mu.Lock()
-	j.queue = append(j.queue, pending...)
+	j.enqueueLocked(pending)
 	j.mu.Unlock()
 	j.signal()
+}
+
+// enqueueLocked appends admitted answers to the fitter queue under j.mu,
+// opening the batch window when the queue was empty.
+func (j *Job) enqueueLocked(batch []answers.Answer) {
+	if len(j.queue) == j.head {
+		j.windowStart = time.Now()
+	}
+	j.queue = append(j.queue, batch...)
 }
 
 func (j *Job) signal() {
@@ -296,6 +316,7 @@ func (j *Job) Stats() JobStats {
 		EffectiveCommunities: snap.EffectiveCommunities,
 		EffectiveClusters:    snap.EffectiveClusters,
 		Publish:              j.pubHist.summary(),
+		PublishFull:          j.pubFullHist.summary(),
 		Ingest:               j.ingestHist.summary(),
 		JournalBytes:         jb,
 		JournalRecords:       jr,
@@ -337,6 +358,23 @@ func (j *Job) JournalOffsets() (bytes, recs int64) {
 	return j.journal.globalOffsets()
 }
 
+// errJournalClosed reports a journaled job whose journal a close or crash
+// dropped. It maps to 503, never 400: a follower restages from scratch on a
+// 400, which would discard every answer it already holds.
+var errJournalClosed = fmt.Errorf("%w: journal dropped", ErrClosed)
+
+// journalDurable returns the journal's durable length in global
+// coordinates, or errJournalClosed once a close or crash dropped it.
+func (j *Job) journalDurable() (int64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.journal == nil {
+		return 0, errJournalClosed
+	}
+	b, _ := j.journal.globalOffsets()
+	return b, nil
+}
+
 // journalSection is an openable byte range of the journal file, resolved
 // from global coordinates under the job mutex so a concurrent truncation
 // cannot shift the mapping between the offset check and the open. The file
@@ -369,7 +407,7 @@ func (j *Job) openJournalSection(from, max int64, includeBase bool) (*journalSec
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.journal == nil {
-		return nil, fmt.Errorf("%w: job has no journal", ErrInvalid)
+		return nil, errJournalClosed
 	}
 	durable, base, hdr := j.journal.view()
 	if from < base.Bytes {
@@ -428,8 +466,11 @@ type JobStats struct {
 	EffectiveCommunities int `json:"effective_communities"`
 	EffectiveClusters    int `json:"effective_clusters"`
 	// Publish is the job's cumulative snapshot-publication latency
-	// histogram.
-	Publish PublishStats `json:"publish"`
+	// histogram. PublishFull is the same histogram over the full
+	// publications alone (every item rebuilt); the difference is the
+	// incremental ones.
+	Publish     PublishStats `json:"publish"`
+	PublishFull PublishStats `json:"publish_full"`
 	// Ingest is the journal group-commit observability: append→durable
 	// latency and cohort-size histograms (zeroed for ephemeral jobs).
 	Ingest IngestStats `json:"ingest"`
@@ -663,7 +704,7 @@ var batchPool = sync.Pool{New: func() any { return new([]answers.Answer) }}
 
 func (j *Job) run() {
 	defer j.wg.Done()
-	roundsSinceSave := 0
+	roundsSinceSave := j.replayed
 	for {
 		bp, ok := j.nextBatch()
 		if !ok {
@@ -721,20 +762,23 @@ func (j *Job) applyTune() {
 }
 
 // nextBatch blocks until a mini-batch is available: a full BatchSize, or
-// whatever is queued once BatchWait has elapsed since data appeared (bounded
-// consensus staleness under trickle load), or the remainder at close. It
-// returns ok=false when the job is done. The returned slice comes from
-// batchPool; the caller returns it after the round.
+// whatever is queued once BatchWait has elapsed since the oldest queued
+// answer was admitted, or since the full-size take that left it queued
+// (bounded consensus staleness under trickle load), or the remainder at
+// close. An answer admitted while a round runs therefore waits for that
+// round, not for another whole BatchWait after it. It returns ok=false when
+// the job is done. The returned slice comes from batchPool; the caller
+// returns it after the round.
 func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 	batchSize := j.model.Config().BatchSize
-	var deadline time.Time
 	for {
 		j.mu.Lock()
 		n := len(j.queue) - j.head
 		done := j.crashed || (j.closed && n == 0)
+		deadline := j.windowStart.Add(j.batchWait)
 		ripe := n >= batchSize ||
 			(n > 0 && j.closed) ||
-			(n > 0 && !deadline.IsZero() && !time.Now().Before(deadline))
+			(n > 0 && !time.Now().Before(deadline))
 		if done {
 			j.mu.Unlock()
 			return nil, false
@@ -750,7 +794,12 @@ func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 			if j.head == len(j.queue) {
 				j.queue = j.queue[:0]
 				j.head = 0
-			} else if j.head >= 1024 && j.head*2 >= len(j.queue) {
+			} else {
+				// A full-size take left a remainder: its window opens
+				// now, so a backlog keeps filling whole batches.
+				j.windowStart = time.Now()
+			}
+			if j.head >= 1024 && j.head*2 >= len(j.queue) {
 				// Compact once the dead prefix dominates, so a long-lived
 				// backlog doesn't pin memory for answers already fitted.
 				rest := copy(j.queue, j.queue[j.head:])
@@ -760,11 +809,8 @@ func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 			j.mu.Unlock()
 			return bp, true
 		}
-		if n > 0 && deadline.IsZero() {
-			deadline = time.Now().Add(j.batchWait)
-		}
 		j.mu.Unlock()
-		if deadline.IsZero() {
+		if n == 0 {
 			<-j.wake
 		} else {
 			select {
@@ -881,7 +927,11 @@ func (j *Job) publish(full bool) error {
 	now := time.Now()
 	j.snap.Store(nextSnapshot(j.spec.ID, j.snap.Load(), view, dirty, now))
 	j.snapTime.Store(now.UnixNano())
-	j.pubHist.observe(time.Since(start))
+	d := time.Since(start)
+	j.pubHist.observe(d)
+	if dirty == nil {
+		j.pubFullHist.observe(d)
+	}
 	if j.traj != nil {
 		j.traj.maybeRecord(j.rounds.Load(), j.model)
 	}

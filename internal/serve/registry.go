@@ -384,6 +384,7 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 				return err
 			}
 			pending = pending[line.N:]
+			j.replayed++
 		case opRestart:
 			// A previous recovery's re-anchor: only the snapshot publisher
 			// cares (replay mirrors it); the model replay is unaffected.

@@ -62,8 +62,10 @@ type Config struct {
 	// (plus once on clean shutdown). Default 16.
 	SaveEvery int
 
-	// BatchWait is how long the fitter waits for a mini-batch to fill to
-	// the model's BatchSize before fitting a partial batch. Default 100ms.
+	// BatchWait is how long the fitter lets a mini-batch fill to the
+	// model's BatchSize before fitting a partial batch, counted from when
+	// the oldest queued answer was admitted or, for answers left over
+	// after a full-size batch, from that take. Default 100ms.
 	BatchWait time.Duration
 
 	// SyncJournal fsyncs the journal after every ingested batch. Appends
