@@ -6,10 +6,10 @@
 //
 // Usage (1 router, 2 shards × 2 replicas over 4 nodes):
 //
-//	cpanode -name a -addr :8081 -data ./node-a &
-//	cpanode -name b -addr :8082 -data ./node-b &
-//	cpanode -name c -addr :8083 -data ./node-c &
-//	cpanode -name d -addr :8084 -data ./node-d &
+//	cpaserve -name a -addr :8081 -data ./node-a &
+//	cpaserve -name b -addr :8082 -data ./node-b &
+//	cpaserve -name c -addr :8083 -data ./node-c &
+//	cpaserve -name d -addr :8084 -data ./node-d &
 //	cparouter -addr :8080 \
 //	  -node a=http://localhost:8081 -node b=http://localhost:8082 \
 //	  -node c=http://localhost:8083 -node d=http://localhost:8084 \

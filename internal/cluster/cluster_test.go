@@ -521,3 +521,67 @@ func TestReturnedPrimaryIsFenced(t *testing.T) {
 		t.Fatalf("consensus via router: status %d", status)
 	}
 }
+
+// TestFollowerResyncsPastTruncatedBaseAhead: a truncated primary's base.gob
+// may cover more than its journal's base header records (the cut stops at
+// the first uncovered answer, before covered fit markers). A follower that
+// resyncs from that primary seeds from the checkpoint, skips the covered
+// markers in the shipped suffix, and converges bit-identically instead of
+// wedging on the mismatch.
+func TestFollowerResyncsPastTruncatedBaseAhead(t *testing.T) {
+	cfg := serve.Config{BatchWait: time.Millisecond, SaveEvery: 2, TruncateJournal: true, TruncateMin: 1}
+	primary, err := NewNode("p", t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(primary)
+	defer func() { pts.Close(); primary.Close() }()
+	ds := testDataset(t, 0.04, 23)
+	job, err := primary.Registry().Create(serve.JobSpec{
+		ID: "ahead", Items: ds.NumItems, Workers: ds.NumWorkers, Labels: ds.NumLabels,
+		Model: core.Config{Seed: 23, BatchSize: 32},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One 80-answer ingest queues at once: rounds of 32, 32 and 16, and
+	// round 2's checkpoint truncates the journal behind the first 64
+	// answers — ahead of both covered fit markers.
+	if err := job.Ingest(ds.Answers()[:80]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st := job.Stats(); st.FittedAnswers < 80 || int64(st.SnapshotRound) != st.FitRounds; st = job.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary never quiesced: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var hdr serve.JournalEntry
+	if err := serve.ReadJournal(primary.JournalPath("ahead"), func(e serve.JournalEntry) error {
+		if hdr == (serve.JournalEntry{}) {
+			hdr = e
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Base == nil || hdr.Base.Fits >= 2 {
+		t.Fatalf("primary journal base is not behind its checkpoint: %+v", hdr)
+	}
+
+	follower, err := NewNode("f", t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.Follow("ahead", pts.URL); err != nil {
+		t.Fatal(err)
+	}
+	fo, _ := follower.getFollower("ahead")
+	want, _ := job.JournalOffsets()
+	if err := fo.drainTo(want, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sameSnapshot(t, job.Snapshot(), fo.ap.Snapshot())
+}

@@ -97,8 +97,8 @@ func startFollower(jobID, source, dir string, client *http.Client) (*follower, e
 // resumeStaged rebuilds the follower from a prior staging of the same job:
 // verify the staged spec still matches the source's, replay the staged
 // journal's complete-line prefix through a fresh applier (seeded from the
-// staged base checkpoint when the journal opens with a base header), drop
-// any torn tail, and continue appending where the staging left off.
+// staged base checkpoint when there is one), drop any torn tail, and
+// continue appending where the staging left off.
 func (fo *follower) resumeStaged() error {
 	raw, err := os.ReadFile(filepath.Join(fo.dir, serve.SpecFileName))
 	if err != nil {
@@ -114,24 +114,19 @@ func (fo *follower) resumeStaged() error {
 		return fmt.Errorf("cluster: staged spec for %q differs from source's", fo.jobID)
 	}
 	journalPath := filepath.Join(fo.dir, serve.JournalFileName)
-	hasBase, err := journalStartsWithBase(journalPath)
-	if err != nil {
+	// Seed from the staged base checkpoint when a resync left one. The
+	// replay engine places it against the staged journal's base header, or
+	// skips its coverage when the header never arrived; a header with no
+	// checkpoint at or past it fails and the staging is rebuilt.
+	var seed io.Reader
+	if bf, err := os.Open(filepath.Join(fo.dir, serve.BaseCheckpointFileName)); err == nil {
+		defer bf.Close()
+		seed = bf
+	} else if !os.IsNotExist(err) {
 		return err
 	}
-	if hasBase {
-		bf, err := os.Open(filepath.Join(fo.dir, serve.BaseCheckpointFileName))
-		if err != nil {
-			return fmt.Errorf("cluster: staged journal for %q has a base header but no base checkpoint: %w", fo.jobID, err)
-		}
-		fo.ap, err = serve.NewApplierFrom(fo.spec, bf)
-		bf.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		if fo.ap, err = serve.NewApplier(fo.spec); err != nil {
-			return err
-		}
+	if fo.ap, err = serve.NewApplierFrom(fo.spec, seed); err != nil {
+		return err
 	}
 
 	jf, err := os.Open(journalPath)
@@ -184,26 +179,6 @@ func (fo *follower) resumeStaged() error {
 		return err
 	}
 	return nil
-}
-
-// journalStartsWithBase reports whether the staged journal's first line is a
-// base header (in which case replay must seed from the base checkpoint). An
-// empty or headerless-torn file is simply headerless.
-func journalStartsWithBase(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	line, err := bufio.NewReaderSize(f, 64<<10).ReadBytes('\n')
-	if err != nil { // empty file or torn first line: nothing replayable
-		return false, nil
-	}
-	e, err := serve.DecodeJournalLine(bytes.TrimSuffix(line, []byte("\n")))
-	if err != nil {
-		return false, err
-	}
-	return e.Base != nil, nil
 }
 
 // stageFresh discards any prior staging and builds the replica directory
@@ -360,10 +335,10 @@ func (fo *follower) shipOnce(waitMS int) error {
 }
 
 // applyBuf drains complete lines from the reassembly buffer through the
-// applier, advancing the applied offsets. The base header line — legal only
-// at local offset 0 — records the file's global framing instead of counting
-// as a stream record. Callers must hold fo.mu (or own the follower
-// exclusively, as resume does before the loop starts).
+// applier, advancing the applied offsets. The base header line (the replay
+// engine accepts it only as the first record) records the file's global
+// framing instead of counting as a stream record. Callers must hold fo.mu
+// (or own the follower exclusively, as resume does before the loop starts).
 func (fo *follower) applyBuf() error {
 	for {
 		idx := bytes.IndexByte(fo.buf, '\n')
@@ -371,15 +346,14 @@ func (fo *follower) applyBuf() error {
 			return nil
 		}
 		line := fo.buf[:idx]
-		if len(bytes.TrimSpace(line)) > 0 {
+		if len(line) > 0 {
 			e, err := serve.DecodeJournalLine(line)
-			if err == nil && e.Base != nil {
-				if fo.applied != 0 || fo.hdrLen != 0 {
-					err = fmt.Errorf("journal base header at offset %d (want 0)", fo.applied)
-				} else {
-					fo.hdrLen = int64(idx + 1)
-					fo.base = *e.Base
-				}
+			if err != nil && bytes.IndexByte(fo.buf[idx+1:], '\n') < 0 {
+				// Recovery treats a malformed final line as a torn tail and
+				// only a malformed line with another after it as corruption;
+				// hold it back under the same rule, so the replica and a
+				// recovery of its staged journal agree on every prefix.
+				return nil
 			}
 			if err == nil {
 				err = fo.ap.Apply(e)
@@ -391,7 +365,10 @@ func (fo *follower) applyBuf() error {
 				fo.applyBroken = true
 				return fmt.Errorf("cluster: applying shipped record for %q: %w", fo.jobID, err)
 			}
-			if e.Base == nil {
+			if e.Base != nil {
+				fo.hdrLen = int64(idx + 1)
+				fo.base = *e.Base
+			} else {
 				fo.appliedRecs++
 			}
 		}

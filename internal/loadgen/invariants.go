@@ -20,14 +20,21 @@ import (
 //
 // A truncated journal (one opening with a base header) is checkpoint-
 // anchored: the model is seeded from the base checkpoint next to the
-// journal — the daemon's own model at the truncation boundary — and the
+// journal — the daemon's own model at a full-published round — and the
 // retained suffix replays on top, which by construction equals the
-// from-zero replay of the untruncated journal. The returned base is the
-// zero value for an untruncated journal.
+// from-zero replay of the untruncated journal. The header records exactly
+// the prefix truncation dropped; the checkpoint may cover more (DESIGN.md
+// §12), so the suffix's first Δanswers answer records and Δfits fit markers
+// are skipped, where Δ is the checkpoint's coverage minus the header's. The
+// skips must be consumed exactly, and the skipped markers must consume
+// exactly the checkpoint's answers. This referee is independent of the
+// serve replay engine on purpose. The returned base is the zero value for
+// an untruncated journal.
 //
 // Returns the post-replay consensus view (nil when no fit marker is
-// covered), the suffix's journaled answer sequence, the answers journaled
-// but not covered by any fit marker, and the base.
+// covered), the suffix's journaled answer sequence (skipped answers
+// included), the answers journaled but not covered by any fit marker, and
+// the base.
 func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answers.Answer, []answers.Answer, serve.JournalBase, error) {
 	var base serve.JournalBase
 	fail := func(err error) (*core.ConsensusView, []answers.Answer, []answers.Answer, serve.JournalBase, error) {
@@ -41,6 +48,12 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 		return fail(err)
 	}
 	var model *core.Model
+	var acked []answers.Answer
+	for _, e := range entries {
+		if e.Answer != nil {
+			acked = append(acked, *e.Answer)
+		}
+	}
 	seeded := false
 	if len(entries) > 0 && entries[0].Base != nil {
 		base = *entries[0].Base
@@ -54,9 +67,8 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 		if err != nil {
 			return fail(err)
 		}
-		if int64(model.TotalIngested()) != base.Ans || int64(model.BatchRounds()) != base.Fits {
-			return fail(fmt.Errorf("base checkpoint covers %d answers / %d fits, journal base says %d / %d",
-				model.TotalIngested(), model.BatchRounds(), base.Ans, base.Fits))
+		if entries, err = skipCovered(entries, model, base); err != nil {
+			return fail(err)
 		}
 		seeded = true
 	} else {
@@ -97,11 +109,10 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 			return fail(err)
 		}
 	}
-	var acked, pending []answers.Answer
+	var pending []answers.Answer
 	for k, e := range entries {
 		switch {
 		case e.Answer != nil:
-			acked = append(acked, *e.Answer)
 			pending = append(pending, *e.Answer)
 		case e.Restart:
 			if k == lastAnchor && model.Fitted() {
@@ -112,7 +123,7 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 		case e.Base != nil:
 			return fail(fmt.Errorf("journal base header past the first record"))
 		default: // fit marker
-			if e.FitN <= 0 || e.FitN > len(pending) {
+			if e.FitN > len(pending) {
 				return fail(fmt.Errorf("fit marker n=%d with %d pending answers", e.FitN, len(pending)))
 			}
 			if err := model.PartialFit(pending[:e.FitN]); err != nil {
@@ -142,6 +153,44 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 		}
 	}
 	return view, acked, pending, base, nil
+}
+
+// skipCovered drops the records of a truncated journal's suffix that the
+// base checkpoint already covers beyond the header: the first Δanswers
+// answer records and Δfits fit markers, plus any restart re-anchor among
+// them (the checkpoint, a full-published round, supersedes it). A
+// checkpoint behind the header, a suffix too short to consume the skips,
+// or skipped markers that consume other than the checkpoint's answers is
+// an error.
+func skipCovered(entries []serve.JournalEntry, model *core.Model, base serve.JournalBase) ([]serve.JournalEntry, error) {
+	ckAns, ckFits := int64(model.TotalIngested()), int64(model.BatchRounds())
+	skipAns, skipFits := ckAns-base.Ans, ckFits-base.Fits
+	if skipAns < 0 || skipFits < 0 {
+		return nil, fmt.Errorf("base checkpoint covers %d answers / %d fits, behind the journal base's %d / %d",
+			ckAns, ckFits, base.Ans, base.Fits)
+	}
+	covered := base.Covered
+	kept := make([]serve.JournalEntry, 0, len(entries))
+	for _, e := range entries {
+		switch {
+		case skipAns > 0 && e.Answer != nil:
+			skipAns--
+		case skipFits > 0 && e.FitN > 0:
+			skipFits--
+			covered += int64(e.FitN)
+		case (skipAns > 0 || skipFits > 0) && e.Restart:
+		default:
+			kept = append(kept, e)
+		}
+	}
+	if skipAns > 0 || skipFits > 0 {
+		return nil, fmt.Errorf("base checkpoint covers %d answers / %d fits, journal base %d / %d plus the suffix holds %d / %d fewer",
+			ckAns, ckFits, base.Ans, base.Fits, skipAns, skipFits)
+	}
+	if covered != ckAns {
+		return nil, fmt.Errorf("base checkpoint holds %d answers, journal base plus skipped fit markers cover %d", ckAns, covered)
+	}
+	return kept, nil
 }
 
 // CheckReplay verifies the served-equals-replay invariant: the snapshot a

@@ -6,79 +6,52 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cpa/internal/answers"
 	"cpa/internal/core"
 )
 
 // Applier is the follower half of journal-shipping replication: it applies
-// a primary's journal record by record — answers buffer as pending, fit
-// markers advance the model with the recorded mini-batch boundary and
-// publish with the recorded mode, restart re-anchors republish full — which
-// is exactly the computation the primary's fitter performed. A follower
-// that has applied the same journal prefix therefore holds bit-identical
-// model state and a bit-identical snapshot chain (modulo CreatedAt
-// timestamps), so consensus reads can be served from any caught-up replica.
+// a primary's journal record by record through the same replay engine
+// recovery uses (replay.go) and publishes every fit round with its recorded
+// mode, and every restart re-anchor in full — exactly the computation the
+// primary's fitter performed. A follower that has applied the same journal
+// prefix therefore holds bit-identical model state and a bit-identical
+// snapshot chain (modulo CreatedAt timestamps), so consensus reads can be
+// served from any caught-up replica.
 //
-// Apply is single-goroutine (the tail loop); Snapshot and the counters are
-// safe for concurrent readers.
+// Apply and Counters are single-goroutine (the tail loop); Snapshot is safe
+// for concurrent readers.
 type Applier struct {
-	spec    JobSpec
-	model   *core.Model
-	pub     *core.Publisher
-	pending []answers.Answer
-
-	snap     atomic.Pointer[Snapshot]
-	ingested atomic.Int64 // answer records applied
-	fitted   atomic.Int64 // answers consumed by fit markers
-	rounds   atomic.Int64 // fit markers applied
+	spec JobSpec
+	rp   *replayer
+	pub  *core.Publisher
+	snap atomic.Pointer[Snapshot]
 }
 
 // NewApplier builds a cold applier for a job spec (as served by
 // GET /v1/jobs/{id}/spec — the effective, defaults-filled form, so the
 // follower's model is configured exactly like the primary's).
-func NewApplier(spec JobSpec) (*Applier, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	model, err := core.NewModel(spec.Model, spec.Items, spec.Workers, spec.Labels)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	spec.Model = model.Config()
-	ap := &Applier{spec: spec, model: model, pub: core.NewPublisher(model)}
-	ap.snap.Store(emptySnapshot(spec, time.Now()))
-	return ap, nil
-}
+func NewApplier(spec JobSpec) (*Applier, error) { return NewApplierFrom(spec, nil) }
 
-// NewApplierFrom builds an applier seeded from a model checkpoint — the
-// follower half of the truncation handshake. When a primary answers a tail
-// request with 410 Gone (the requested prefix was compacted away), the
-// follower fetches the base checkpoint (/checkpoint?base=1) and rebuilds its
-// applier from it; replaying the retained journal suffix on top then yields
-// exactly the state a from-zero replay of the untruncated journal would
-// have, because the checkpoint is the primary's own model at the truncation
-// boundary. The progress counters are seeded from the checkpoint so the
-// follower's stats stay continuous in global (never-truncated) coordinates.
+// NewApplierFrom builds an applier seeded from a model checkpoint, or a cold
+// one when checkpoint is nil. Seeding is the follower half of the
+// truncation handshake: when a primary answers a tail request with 410 Gone
+// (the requested prefix was compacted away), the follower fetches the base
+// checkpoint (/checkpoint?base=1) and rebuilds its applier from it. The
+// checkpoint may sit at or past the retained suffix's base header; the
+// engine skips whatever of the suffix it already covers, so replaying the
+// suffix on top yields exactly the state a from-zero replay of the
+// untruncated journal would have.
 func NewApplierFrom(spec JobSpec, checkpoint io.Reader) (*Applier, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	model, err := core.Load(checkpoint)
+	rp, err := newReplayer(spec, checkpoint)
 	if err != nil {
-		return nil, fmt.Errorf("%w: loading seed checkpoint: %v", ErrInvalid, err)
+		return nil, err
 	}
-	st := model.Stats()
-	if st.Items != spec.Items || st.Workers != spec.Workers || st.Labels != spec.Labels {
-		return nil, fmt.Errorf("%w: seed checkpoint dimensions (%d items, %d workers, %d labels) do not match spec (%d, %d, %d)",
-			ErrInvalid, st.Items, st.Workers, st.Labels, spec.Items, spec.Workers, spec.Labels)
-	}
-	spec.Model = model.Config()
-	ap := &Applier{spec: spec, model: model, pub: core.NewPublisher(model)}
-	ap.ingested.Store(int64(model.TotalIngested()))
-	ap.fitted.Store(int64(model.TotalIngested()))
-	ap.rounds.Store(int64(model.BatchRounds()))
+	ap := &Applier{spec: spec, rp: rp, pub: core.NewPublisher(rp.model)}
 	ap.snap.Store(emptySnapshot(spec, time.Now()))
-	if model.Fitted() {
+	if rp.model.Fitted() {
 		// Anchor the publisher with a full publication, exactly as the
 		// primary's own recovery does: every later incremental round refreshes
 		// against a complete view.
@@ -89,47 +62,21 @@ func NewApplierFrom(spec JobSpec, checkpoint io.Reader) (*Applier, error) {
 	return ap, nil
 }
 
-// Spec returns the applier's effective job spec.
-func (ap *Applier) Spec() JobSpec { return ap.spec }
-
 // Apply consumes one decoded journal record in order.
 func (ap *Applier) Apply(e JournalEntry) error {
-	switch {
-	case e.Answer != nil:
-		if err := ap.spec.validateAnswer(*e.Answer); err != nil {
-			return err
-		}
-		ap.pending = append(ap.pending, *e.Answer)
-		ap.ingested.Add(1)
-	case e.FitN > 0:
-		if e.FitN > len(ap.pending) {
-			return fmt.Errorf("%w: fit marker n=%d with %d pending answers", ErrInvalid, e.FitN, len(ap.pending))
-		}
-		if err := ap.model.PartialFit(ap.pending[:e.FitN]); err != nil {
-			return err
-		}
-		ap.pending = ap.pending[e.FitN:]
-		ap.fitted.Add(int64(e.FitN))
-		ap.rounds.Add(1)
-		return ap.publish(e.FitFull)
-	case e.Restart:
+	step, err := ap.rp.apply(e)
+	if err != nil {
+		return err
+	}
+	switch step {
+	case stepFitInc, stepFitFull:
+		return ap.publish(step == stepFitFull)
+	case stepRestart:
 		// The primary recovered and re-anchored its cold publisher with a
 		// full publication; mirror it so the incremental chain stays in
 		// lockstep.
-		if ap.model.Fitted() {
+		if ap.rp.model.Fitted() {
 			return ap.publish(true)
-		}
-	case e.Base != nil:
-		// The base header of a truncated journal, served ahead of the
-		// retained suffix on a ?base=1 handshake. It carries no state of its
-		// own — the seed checkpoint already holds everything the dropped
-		// prefix contributed — but it must agree with that checkpoint:
-		// applying a suffix on top of the wrong seed would silently diverge.
-		if got, want := int64(ap.model.TotalIngested()), e.Base.Ans; got != want {
-			return fmt.Errorf("%w: journal base covers %d answers but seed checkpoint holds %d", ErrInvalid, want, got)
-		}
-		if got, want := int64(ap.model.BatchRounds()), e.Base.Fits; got != want {
-			return fmt.Errorf("%w: journal base covers %d fit rounds but seed checkpoint holds %d", ErrInvalid, want, got)
 		}
 	}
 	return nil
@@ -147,8 +94,7 @@ func (ap *Applier) publish(full bool) error {
 // Snapshot returns the follower's latest replicated consensus snapshot.
 func (ap *Applier) Snapshot() *Snapshot { return ap.snap.Load() }
 
-// Counters reports the applier's replication progress: answer records
-// applied, answers consumed by fit markers, and fit rounds replayed.
-func (ap *Applier) Counters() (ingested, fitted, rounds int64) {
-	return ap.ingested.Load(), ap.fitted.Load(), ap.rounds.Load()
-}
+// Counters reports the applier's replication progress: answers applied,
+// answers consumed by fit markers, and fit rounds, all in global
+// coordinates (a seed checkpoint's coverage included).
+func (ap *Applier) Counters() (ingested, fitted, rounds int64) { return ap.rp.counters() }

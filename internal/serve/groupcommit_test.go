@@ -471,7 +471,7 @@ func TestTruncateDuringGroupCommitDoesNotDeadlock(t *testing.T) {
 		// truncateJournal locking shape.
 		for i := 0; i < 100; i++ {
 			job.mu.Lock()
-			_, terr := job.journal.truncate(JournalPath(dir, "dlock"), 0, 0, 0)
+			_, terr := job.journal.truncate(JournalPath(dir, "dlock"), 0, 0, 0, func() error { return nil })
 			job.mu.Unlock()
 			if terr != nil {
 				t.Errorf("truncate %d: %v", i, terr)

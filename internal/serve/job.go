@@ -149,7 +149,7 @@ func (j *Job) IngestAt(batch []answers.Answer, epoch int64) error {
 		return nil
 	}
 	for _, a := range batch {
-		if err := j.validate(a); err != nil {
+		if err := j.spec.validateAnswer(a); err != nil {
 			return err
 		}
 	}
@@ -239,10 +239,8 @@ func (j *Job) commitDurable(batch []answers.Answer, err error) {
 	}
 }
 
-func (j *Job) validate(a answers.Answer) error { return j.spec.validateAnswer(a) }
-
 // validateAnswer checks one answer against the spec's dimensions. Shared by
-// the live ingest path and the cluster follower's journal applier.
+// the live ingest path and the journal replay engine.
 func (s JobSpec) validateAnswer(a answers.Answer) error {
 	if a.Item < 0 || a.Item >= s.Items {
 		return fmt.Errorf("%w: item %d out of range [0,%d)", ErrInvalid, a.Item, s.Items)
@@ -888,12 +886,11 @@ func (j *Job) fitBatch(batch []answers.Answer, roundsSinceSave *int) error {
 // covers (DESIGN.md §12). Only checkpoints taken at a full publication
 // anchor a truncation: incremental snapshot chains reference publisher
 // history back to the last full round, so replay of the retained suffix
-// must start from a full-published posterior. The ordering is the crash
-// protocol: base.gob (a copy of the anchoring checkpoint) reaches disk
-// before the journal rewrite commits, so a journal with a base header
-// always has its anchor; a kill after base.gob but before the rename
-// leaves an untruncated journal plus a newer base.gob, which recovery
-// ignores in favor of model.gob.
+// must start from a full-published posterior. The journal decides the cut
+// first and anchors second: base.gob (a copy of the anchoring checkpoint)
+// is written only once a cut is chosen, and reaches disk before the journal
+// rewrite commits, so a journal with a base header always has its anchor
+// and a too-short prefix leaves base.gob untouched.
 func (j *Job) truncateJournal() error {
 	coveredAns := int64(j.model.TotalIngested())
 	coveredFits := int64(j.model.BatchRounds())
@@ -902,11 +899,10 @@ func (j *Job) truncateJournal() error {
 	if j.journal == nil || j.journal.fileLen() < j.truncateMin {
 		return nil
 	}
-	if err := copyFileAtomic(filepath.Join(j.dir, modelFile), filepath.Join(j.dir, baseFile)); err != nil {
-		return fmt.Errorf("serve: anchoring base checkpoint: %w", err)
+	anchor := func() error {
+		return copyFileAtomic(filepath.Join(j.dir, modelFile), filepath.Join(j.dir, baseFile))
 	}
-	_, err := j.journal.truncate(filepath.Join(j.dir, journalFile), coveredAns, coveredFits, j.truncateMin)
-	if err != nil {
+	if _, err := j.journal.truncate(filepath.Join(j.dir, journalFile), coveredAns, coveredFits, j.truncateMin, anchor); err != nil {
 		return fmt.Errorf("serve: truncating journal: %w", err)
 	}
 	return nil

@@ -449,18 +449,23 @@ func (j *journal) fileLen() int64 {
 // first answer line or fit marker beyond that coverage (restart re-anchors
 // inside the covered prefix are dropped too — the base checkpoint was
 // written at a full publication, which supersedes them as the replay
-// anchor). The rewrite is crash-safe: the retained suffix and new base
-// header are written to a temp file, fsynced, and renamed over the journal
-// in one atomic commit; a kill before the rename leaves the old journal
-// (and a possibly newer base.gob, which recovery and replay tolerate —
-// their skip arithmetic works from any checkpoint at or past the base).
+// anchor). The header records exactly what was dropped; the checkpoint may
+// cover more, and every reader skips the difference (DESIGN.md §12).
+//
+// truncate only counts records to choose the cut. When the cut reaches
+// minDrop it calls anchor — which must make the covering checkpoint durable
+// as base.gob — and only then commits the rewrite: the retained suffix and
+// new base header are written to a temp file, fsynced, and renamed over the
+// journal in one atomic commit. A kill before the rename leaves the old
+// journal and a base.gob at or past its header, which every reader
+// tolerates. Below minDrop nothing is touched, base.gob included.
 // Concurrent tail readers holding the old inode keep reading it unchanged.
 //
 // Returns the number of bytes dropped (0 if the droppable prefix was
 // shorter than minDrop). The caller holds the job mutex — no new append can
 // be sequenced — and truncate drains the commit pipeline before touching
 // the file, so no in-flight cohort can interleave with the swap.
-func (j *journal) truncate(path string, coveredAns, coveredFits, minDrop int64) (int64, error) {
+func (j *journal) truncate(path string, coveredAns, coveredFits, minDrop int64, anchor func() error) (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.drainLocked()
@@ -511,14 +516,15 @@ scan:
 			}
 			dropFits++
 			dropCovered += int64(line.N)
-		case opBase:
-			return 0, fmt.Errorf("serve: truncate: base record past the journal header")
 		}
 		cut += int64(len(raw))
 		dropRecs++
 	}
 	if cut < minDrop {
 		return 0, nil
+	}
+	if err := anchor(); err != nil {
+		return 0, fmt.Errorf("serve: anchoring base checkpoint: %w", err)
 	}
 
 	newBase := JournalBase{
@@ -654,101 +660,70 @@ type JournalEntry struct {
 // allocation-lean fast path; everything else decodes through encoding/json
 // with identical acceptance and errors.
 func DecodeJournalLine(raw []byte) (JournalEntry, error) {
-	line, err := decodeJournalLine(raw, nil)
+	line, err := parseJournalLine(raw, nil)
 	if err != nil {
 		return JournalEntry{}, fmt.Errorf("serve: decoding journal line: %w", err)
 	}
-	return line.entry()
+	return line.entry(nil), nil
 }
 
-// entry converts a wire-form line to its exported JournalEntry.
-func (line journalLine) entry() (JournalEntry, error) {
+// parseJournalLine decodes one journal line and checks that its op carries
+// the payload the grammar requires. Every journal reader frames lines
+// through it, so a malformed record — and with it the torn-tail rule of
+// replayJournal — means the same to recovery and to a follower.
+func parseJournalLine(raw []byte, arena *labelset.Arena) (journalLine, error) {
+	line, err := decodeJournalLine(raw, arena)
+	if err != nil {
+		return journalLine{}, err
+	}
+	switch {
+	case line.Op == opAnswer && line.Ans == nil:
+		return journalLine{}, fmt.Errorf("%w: answer line without payload", ErrInvalid)
+	case line.Op == opFit && line.N <= 0:
+		return journalLine{}, fmt.Errorf("%w: fit marker n=%d", ErrInvalid, line.N)
+	case line.Op == opBase && line.Base == nil:
+		return journalLine{}, fmt.Errorf("%w: base line without payload", ErrInvalid)
+	}
+	return line, nil
+}
+
+// entry converts a parsed wire-form line to its exported JournalEntry. An
+// answer is stored in *slot, which the entry then points at; a nil slot
+// allocates a fresh one, so the entry may be retained.
+func (line journalLine) entry(slot *answers.Answer) JournalEntry {
 	switch line.Op {
 	case opAnswer:
-		if line.Ans == nil {
-			return JournalEntry{}, fmt.Errorf("%w: answer line without payload", ErrInvalid)
+		if slot == nil {
+			slot = new(answers.Answer)
 		}
-		a := line.Ans.Answer()
-		return JournalEntry{Answer: &a}, nil
+		*slot = line.Ans.Answer()
+		return JournalEntry{Answer: slot}
 	case opFit:
-		return JournalEntry{FitN: line.N, FitFull: line.Mode != pubModeInc}, nil
+		return JournalEntry{FitN: line.N, FitFull: line.Mode != pubModeInc}
 	case opRestart:
-		return JournalEntry{Restart: true}, nil
+		return JournalEntry{Restart: true}
 	case opBase:
-		if line.Base == nil {
-			return JournalEntry{}, fmt.Errorf("%w: base line without payload", ErrInvalid)
-		}
-		b := *line.Base
-		return JournalEntry{Base: &b}, nil
-	case opTune:
-		// Auto-tune annotation: replay-inert by design, skipped like an
-		// unknown op so journals written by tuned jobs replay identically on
-		// consumers that predate (or ignore) tuning.
-		return JournalEntry{}, nil
+		return JournalEntry{Base: line.Base}
 	}
-	return JournalEntry{}, nil
+	// Auto-tune annotations and unknown ops are replay-inert: journals
+	// written by tuned jobs replay identically on consumers that predate
+	// (or ignore) tuning.
+	return JournalEntry{}
 }
 
 // ReadJournal streams a job journal through fn in recorded order, with the
 // same tolerance rules as recovery: a torn final line is skipped, malformed
 // lines elsewhere are an error. A missing file yields no entries. A
-// truncated journal's base header is delivered as its first entry.
+// truncated journal's base header is delivered as its first entry;
+// replay-inert records are not delivered.
 func ReadJournal(path string, fn func(JournalEntry) error) error {
-	_, err := ReadJournalInfo(path, fn)
-	return err
-}
-
-// JournalInfo summarises a journal file's coordinates as read from disk.
-type JournalInfo struct {
-	// Base is the truncation header (zero unless HasBase).
-	Base    JournalBase
-	HasBase bool
-	// BaseLineLen is the byte length of the base header line (0 without one).
-	BaseLineLen int64
-	// FileBytes/FileRecords are the durable file-local position: FileBytes
-	// includes the base header line, FileRecords does not count it.
-	FileBytes   int64
-	FileRecords int64
-}
-
-// GlobalBytes returns the durable offset in global (never-truncated)
-// journal coordinates.
-func (ji JournalInfo) GlobalBytes() int64 {
-	return ji.Base.Bytes + (ji.FileBytes - ji.BaseLineLen)
-}
-
-// GlobalRecords returns the durable record count in global coordinates.
-func (ji JournalInfo) GlobalRecords() int64 { return ji.Base.Recs + ji.FileRecords }
-
-// ReadJournalInfo streams a journal like ReadJournal and additionally
-// returns the file's truncation state and durable offsets — what a
-// checkpoint-anchored replayer or a resuming follower needs to place the
-// file in global coordinates.
-func ReadJournalInfo(path string, fn func(JournalEntry) error) (JournalInfo, error) {
-	var info JournalInfo
-	first := true
-	bytes, _, err := replayJournal(path, func(line journalLine, size int64) error {
-		isFirst := first
-		first = false
-		e, err := line.entry()
-		if err != nil {
-			return err
+	_, _, err := replayJournal(path, func(line journalLine, _ int64) error {
+		if e := line.entry(nil); e != (JournalEntry{}) {
+			return fn(e)
 		}
-		if e.Base != nil {
-			if !isFirst {
-				return fmt.Errorf("%w: base record past the journal header", ErrInvalid)
-			}
-			info.Base, info.HasBase, info.BaseLineLen = *e.Base, true, size
-		} else {
-			info.FileRecords++
-		}
-		if e.Answer == nil && e.FitN == 0 && !e.Restart && e.Base == nil {
-			return nil // unknown op
-		}
-		return fn(e)
+		return nil
 	})
-	info.FileBytes = bytes
-	return info, err
+	return err
 }
 
 // replayJournal streams a journal file through fn in order (each line with
@@ -798,7 +773,7 @@ func replayJournal(path string, fn func(journalLine, int64) error) (int64, int64
 			off += int64(len(raw))
 			continue
 		}
-		line, err := decodeJournalLine(trimmed, &arena)
+		line, err := parseJournalLine(trimmed, &arena)
 		if err != nil {
 			pendingErr = fmt.Errorf("serve: journal line %d: %w", lineNo, err)
 			continue

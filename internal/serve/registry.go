@@ -280,11 +280,23 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// openExistingJob recovers one job from its directory: load the spec,
-// restore the latest checkpoint (or a fresh model), replay the journal
-// suffix with the original mini-batch boundaries, requeue any answers that
-// were journaled but never fitted, and start the fitter.
+// openExistingJob recovers one job from its directory and starts its
+// fitter.
 func openExistingJob(dir string, cfg Config) (*Job, error) {
+	j, err := recoverJob(dir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	j.start()
+	return j, nil
+}
+
+// recoverJob rebuilds one job from its directory without starting the
+// fitter: load the spec, seed the replay engine from the newest checkpoint
+// (or a fresh model), replay the journal suffix with the original
+// mini-batch boundaries, and requeue any answers that were journaled but
+// never fitted.
+func recoverJob(dir string, cfg Config) (*Job, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, specFile))
 	if err != nil {
 		return nil, fmt.Errorf("reading spec: %w", err)
@@ -297,13 +309,12 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 		return nil, err
 	}
 
-	// Restore the newest checkpoint: model.gob when present, else the
+	// Seed from the newest checkpoint: model.gob when present, else the
 	// truncation anchor base.gob (a follower of a truncated source stages
-	// only the latter), else a fresh model. A truncated journal with no
-	// checkpoint at or past its base is unrecoverable — the skip arithmetic
-	// below rejects it, since the dropped prefix cannot be replayed.
-	var model *core.Model
-	loaded := false
+	// only the latter), else a fresh model. The engine skips whatever of the
+	// journal the checkpoint covers and rejects a truncated journal with no
+	// checkpoint at or past its base — the dropped prefix cannot be replayed.
+	var rp *replayer
 	for _, name := range []string{modelFile, baseFile} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
@@ -312,21 +323,20 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening checkpoint: %w", err)
 		}
-		model, err = core.Load(f)
+		rp, err = newReplayer(spec, f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("loading checkpoint %s: %w", name, err)
 		}
-		loaded = true
 		break
 	}
-	if !loaded {
-		if model, err = core.NewModel(spec.Model, spec.Items, spec.Workers, spec.Labels); err != nil {
+	if rp == nil {
+		if rp, err = newReplayer(spec, nil); err != nil {
 			return nil, err
 		}
 	}
 
-	j := newJob(spec, model, dir, cfg)
+	j := newJob(spec, rp.model, dir, cfg)
 	// A deposed primary that crashes and recovers must stay deposed: the
 	// cluster has moved ownership on, and un-fencing on restart would let it
 	// ack writes behind the new owner's back.
@@ -334,95 +344,36 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 		return nil, err
 	}
 
-	// Replay the journal suffix. In global coordinates the checkpoint covers
-	// the first TotalIngested() answer lines and the first BatchRounds() fit
-	// markers; a truncated journal's base header states how many of each its
-	// dropped prefix held, so the file-local skip counts are the difference.
-	// Everything after is replayed with the recorded batch boundaries so the
-	// recovered posterior matches the pre-crash one exactly. This works for
-	// any checkpoint at or past the base — including the window where a kill
-	// landed after base.gob was copied but before the journal rewrite
-	// committed (untruncated journal, checkpoint ahead of a stale base.gob).
-	checkpointAns := int64(model.TotalIngested())
-	skipAns, skipFit := checkpointAns, int64(model.BatchRounds())
-	coveredBySkipped := int64(0)
-	var pending []answers.Answer
+	// Replay the journal through the engine. Publish modes do not matter
+	// here: recovery re-anchors with one full publication below.
 	var base JournalBase
 	var hdrLen int64
-	firstLine := true
+	var ans answers.Answer // reused for every answer record: no per-record allocation
 	journalPath := filepath.Join(dir, journalFile)
 	// A kill between a truncation's temp-file write and its rename can leave
 	// the temp file behind; it was never the journal, so drop it.
 	os.Remove(journalPath + ".tmp")
 	durableOff, durableRecs, err := replayJournal(journalPath, func(line journalLine, size int64) error {
-		isFirst := firstLine
-		firstLine = false
-		switch line.Op {
-		case opAnswer:
-			if line.Ans == nil {
-				return fmt.Errorf("%w: answer line without payload", ErrInvalid)
-			}
-			if skipAns > 0 {
-				skipAns--
-				return nil
-			}
-			a := line.Ans.Answer()
-			if err := j.validate(a); err != nil {
-				return err
-			}
-			pending = append(pending, a)
-		case opFit:
-			if skipFit > 0 {
-				skipFit--
-				coveredBySkipped += int64(line.N)
-				return nil
-			}
-			if line.N <= 0 || line.N > len(pending) {
-				return fmt.Errorf("%w: fit marker n=%d with %d pending answers", ErrInvalid, line.N, len(pending))
-			}
-			if err := model.PartialFit(pending[:line.N]); err != nil {
-				return err
-			}
-			pending = pending[line.N:]
-			j.replayed++
-		case opRestart:
-			// A previous recovery's re-anchor: only the snapshot publisher
-			// cares (replay mirrors it); the model replay is unaffected.
-		case opTune:
-			// An auto-tune annotation. Deliberately not re-applied: the
-			// settings it records changed only which batch boundaries later
-			// fit markers laid down, and those markers are replayed verbatim.
-			// A recovered job resumes at its checkpoint's (tuned) settings
-			// and the tuner, if enabled, re-learns from there.
-		case opBase:
-			if line.Base == nil {
-				return fmt.Errorf("%w: base line without payload", ErrInvalid)
-			}
-			if !isFirst {
-				return fmt.Errorf("%w: base record past the journal header", ErrInvalid)
-			}
-			base, hdrLen = *line.Base, size
-			skipAns -= base.Ans
-			skipFit -= base.Fits
-			coveredBySkipped += base.Covered
-			if skipAns < 0 || skipFit < 0 {
-				return fmt.Errorf("%w: checkpoint (%d answers, %d markers) behind journal base (%d, %d): truncated prefix is unreplayable",
-					ErrInvalid, checkpointAns, model.BatchRounds(), base.Ans, base.Fits)
-			}
+		e := line.entry(&ans)
+		if _, err := rp.apply(e); err != nil {
+			return err
+		}
+		if e.Base != nil {
+			base, hdrLen = *e.Base, size
 		}
 		return nil
 	})
+	if err == nil {
+		err = rp.finish()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if skipAns > 0 || skipFit > 0 || coveredBySkipped != checkpointAns {
-		return nil, fmt.Errorf("%w: journal shorter than checkpoint (missing %d answers, %d markers; markers covered %d of %d)",
-			ErrInvalid, skipAns, skipFit, coveredBySkipped, checkpointAns)
-	}
-
-	j.ingested.Store(int64(model.TotalIngested()) + int64(len(pending)))
-	j.fitted.Store(int64(model.TotalIngested()))
-	j.rounds.Store(int64(model.BatchRounds()))
+	j.replayed = rp.replayed()
+	ingested, fitted, rounds := rp.counters()
+	j.ingested.Store(ingested)
+	j.fitted.Store(fitted)
+	j.rounds.Store(rounds)
 	// Truncate any torn tail (a crash mid-append, or a shipped journal whose
 	// stream died mid-record) back to the durable offset before reopening
 	// for append: a new record must never concatenate onto a half-written
@@ -440,7 +391,7 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 		return nil, err
 	}
 	j.journal.stats = &j.ingestHist
-	if model.Fitted() {
+	if rp.model.Fitted() {
 		// Re-anchor: the recovered publisher starts cold, so the first
 		// publication is a full one. The restart marker records that for
 		// replay — without it, an offline replay would carry incremental
@@ -454,7 +405,6 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 			return nil, err
 		}
 	}
-	j.enqueueRecovered(pending)
-	j.start()
+	j.enqueueRecovered(rp.pending)
 	return j, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,5 +125,79 @@ func TestTruncationKillWindowRecovers(t *testing.T) {
 	sameConsensus(t, before, job2.Snapshot())
 	if _, err := os.Stat(filepath.Join(jobDir, journalFile+".tmp")); !os.IsNotExist(err) {
 		t.Fatalf("stale journal temp file survived recovery: %v", err)
+	}
+}
+
+// TestTruncationBelowMinLeavesAnchor pins the order of a truncation: the
+// journal decides the cut first and anchors second. A full-published
+// checkpoint whose droppable prefix is below TruncateMin, on a journal file
+// at or above it, must not touch base.gob — overwriting it there would leave
+// an anchor newer than the journal's base header.
+func TestTruncationBelowMinLeavesAnchor(t *testing.T) {
+	ds := testStream(t, 0.04, 31)
+	batch := ds.Answers()[:96]
+	spec := JobSpec{
+		ID: "anchor", Items: ds.NumItems, Workers: ds.NumWorkers, Labels: ds.NumLabels,
+		Model: core.Config{Seed: 31, BatchSize: 32},
+	}
+	// One 96-answer ingest queues at once, so the fitter runs three rounds
+	// of 32; with SaveEvery 2 the only checkpoint is round 2's, covering the
+	// first 64 answers while all 96 sit in the journal before its marker.
+	run := func(cfg Config, prep func(jobDir string)) (jobDir string) {
+		reg := mustOpen(t, cfg)
+		job, err := reg.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobDir = filepath.Join(cfg.Dir, "jobs", spec.ID)
+		prep(jobDir)
+		if err := job.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		waitSnapshot(t, job, len(batch))
+		reg.CrashAll() // no closing checkpoint: round 2's is the last
+		return jobDir
+	}
+
+	// Measure the journal with truncation off: the droppable prefix at
+	// round 2 is the first 64 answer lines, the file then holds 96 answers
+	// and two fit markers.
+	probe := run(Config{Dir: t.TempDir(), SaveEvery: 2, BatchWait: time.Millisecond}, func(string) {})
+	raw, err := os.ReadFile(filepath.Join(probe, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	var droppable, fileLen int64
+	for i, l := range lines[:98] {
+		if i < 64 {
+			droppable += int64(len(l))
+		}
+		fileLen += int64(len(l))
+	}
+	if !bytes.HasPrefix(lines[96], []byte(`{"op":"fit","n":32`)) {
+		t.Fatalf("unexpected round layout: line 96 is %q", lines[96])
+	}
+
+	anchor := []byte("previous anchor")
+	cfg := Config{Dir: t.TempDir(), SaveEvery: 2, BatchWait: time.Millisecond,
+		TruncateJournal: true, TruncateMin: (droppable + fileLen) / 2}
+	jobDir := run(cfg, func(jobDir string) {
+		if err := os.WriteFile(filepath.Join(jobDir, baseFile), anchor, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := os.Stat(filepath.Join(jobDir, modelFile)); err != nil {
+		t.Fatalf("round 2 wrote no checkpoint: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(jobDir, baseFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, anchor) {
+		t.Fatalf("a truncation that cut nothing rewrote base.gob (%d bytes)", len(got))
+	}
+	if j, err := os.ReadFile(filepath.Join(jobDir, journalFile)); err != nil || bytes.HasPrefix(j, []byte(`{"op":"base"`)) {
+		t.Fatalf("journal truncated below TruncateMin (err %v)", err)
 	}
 }
