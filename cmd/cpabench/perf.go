@@ -584,6 +584,8 @@ func benchMicroKernels() []BenchRecord {
 				{"micro-flooreddot", func() { sink += mathx.FlooredDot(w, x, 0.0) }},
 				{"micro-sum", func() { sink += mathx.Sum(w) }},
 				{"micro-digammarow", func() { mathx.DigammaRow(pos, dst) }},
+				{"micro-logrow", func() { mathx.LogRow(pos, dst) }},
+				{"micro-exprow", func() { mathx.ExpRow(w, dst) }},
 				{"micro-logsumexp", func() { sink += mathx.LogSumExp(logs) }},
 			} {
 				out = append(out, BenchRecord{

@@ -335,16 +335,33 @@ func (m *Model) imputeTruth(items []int) {
 // incremental publisher can freeze these inputs against the live ϕ before
 // refreshing individual items (publish.go): each imputeItem call is then a
 // pure per-item function of the prepared state.
+//
+// It also tabulates, label-major, each cluster's clamped prior
+// clamp(n̄_t·φ̄_tc, 0.02, 0.90), which every item voting label c mixes, and
+// caches per label the clamped prevalence floor and its log-odds: most
+// voted labels' priors end on that floor, and imputeItem reuses the
+// log-odds whenever its prior is bitwise equal to the cached input.
 func (m *Model) imputePrep() {
 	if !m.haveRates {
 		return
 	}
-	phiMean := m.ws.phiMean
+	T := m.T
+	phiMean, nbar, tab := m.ws.phiMean, m.ws.nbar, m.ws.imputeTab
 	phiMean.CopyFrom(m.zeta)
-	for t := 0; t < m.T; t++ {
+	for t := 0; t < T; t++ {
 		phiMean.NormalizeRow(t)
 	}
-	m.clusterTruthSizesInto(m.ws.nbar)
+	m.clusterTruthSizesInto(nbar)
+	for t := 0; t < T; t++ {
+		for c, v := range phiMean.Row(t) {
+			tab[c*T+t] = mathx.Clamp(nbar[t]*v, 0.02, 0.90)
+		}
+	}
+	for c, lp := range m.labelPrev {
+		p := mathx.Clamp(lp, 0.05, 0.90)
+		m.ws.prevClamp[c] = p
+		m.ws.prevLogOdd[c] = math.Log(p) - math.Log1p(-p)
+	}
 }
 
 // imputeItem refreshes one item's ŷ from the inputs prepared by imputePrep.
@@ -410,27 +427,39 @@ func (m *Model) imputeItem(i int) {
 	// where the clustering is informative, prevalence separates
 	// commonly-true labels from incidental votes everywhere else.
 	T := m.T
-	phiMean, nbar := m.ws.phiMean, m.ws.nbar
 	phiRow := m.phi.Row(i)
+	expert := m.expertCooc != nil
 	for k, c := range voted {
 		prior := 0.0
-		for t := 0; t < T; t++ {
+		for t, cp := range m.ws.imputeTab[c*T : c*T+T] {
 			pt := phiRow[t]
 			if pt < 1e-6 {
 				continue
 			}
-			prior += pt * mathx.Clamp(nbar[t]*phiMean.At(t, c), 0.02, 0.90)
+			prior += pt * cp
 		}
 		if lp := m.labelPrev[c]; prior < lp {
 			prior = lp
 		}
-		if m.expertCooc != nil {
+		if expert {
 			// §6 extension: expert conditional probabilities floor the
 			// prior of labels implied by currently-believed ones.
 			prior = math.Max(prior, 0.9*m.expertPriorFloor(i, c))
 		}
 		prior = mathx.Clamp(prior, 0.05, 0.90)
-		logOdds := math.Log(prior) - math.Log1p(-prior)
+		var logOdds float64
+		if math.Float64bits(prior) == math.Float64bits(m.ws.prevClamp[c]) {
+			logOdds = m.ws.prevLogOdd[c]
+		} else {
+			logOdds = math.Log(prior) - math.Log1p(-prior)
+		}
+		if !expert {
+			// vals holds the log-odds until the answer-major pass below.
+			vals[k] = logOdds
+			continue
+		}
+		// The expert floor of later labels reads this label's fresh ŷ, so
+		// the expert path finishes each label before starting the next.
 		for s, sn := 0, l.segs(); s < sn; s++ {
 			for _, ar := range l.seg(s) {
 				if m.intern.Contains(ar.set, c) {
@@ -442,20 +471,49 @@ func (m *Model) imputeItem(i int) {
 		}
 		vals[k] = 1 / (1 + math.Exp(-mathx.Clamp(logOdds, -30, 30)))
 	}
-	if m.expertCooc != nil {
-		// §6 extension, second stage: propagate belief along expert
-		// implications — "include label b whenever label a has been
-		// assigned" (the paper's §2.1 motivating rule). One pass over
-		// ordered pairs of voted labels.
-		for k, a := range voted {
-			if vals[k] <= 0.5 {
-				continue
-			}
-			row := m.expertCooc.Row(a)
-			for j, b := range voted {
-				if implied := row[b] * vals[k]; implied > vals[j] {
-					vals[j] = implied
+	if !expert {
+		// Two-coin votes, answer-major: each answer's sorted labels are
+		// merged against the sorted voted list once, and every label still
+		// adds its terms in answer order.
+		for s, sn := 0, l.segs(); s < sn; s++ {
+			for _, ar := range l.seg(s) {
+				vote, miss := m.voteLW[ar.other], m.missLW[ar.other]
+				xs := m.intern.Canon(ar.set)
+				j := 0
+				for k, c := range voted {
+					for j < len(xs) && xs[j] < c {
+						j++
+					}
+					if j < len(xs) && xs[j] == c {
+						vals[k] += vote
+					} else {
+						vals[k] += miss
+					}
 				}
+			}
+		}
+		// ŷ = 1/(1 + e^−clamp(logOdds)), with the exponentials in one row.
+		for k, v := range vals {
+			vals[k] = -mathx.Clamp(v, -30, 30)
+		}
+		mathx.ExpRow(vals, vals)
+		for k, e := range vals {
+			vals[k] = 1 / (1 + e)
+		}
+		return
+	}
+	// §6 extension, second stage: propagate belief along expert
+	// implications — "include label b whenever label a has been assigned"
+	// (the paper's §2.1 motivating rule). One pass over ordered pairs of
+	// voted labels.
+	for k, a := range voted {
+		if vals[k] <= 0.5 {
+			continue
+		}
+		row := m.expertCooc.Row(a)
+		for j, b := range voted {
+			if implied := row[b] * vals[k]; implied > vals[j] {
+				vals[j] = implied
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func (m *Model) predictWeightsReferee(i int, psiMAP []float64, pp *prodCache, sc
 // the per-cluster gains computed cluster by cluster.
 func (m *Model) instantiateItemReferee(i int, phiMAP, nbar []float64, sc *predictScratch) labelset.Set {
 	T, C := m.T, m.numLabels
-	candidates := m.predictCandidates(i, phiMAP, nbar, sc)
+	candidates := m.predictCandidates(i, m.clusterPriorsInto(phiMAP, nbar, nil), sc)
 	nAns := float64(m.perItem[i].Len())
 	voteWeight := (nAns + 1) / (nAns + 3)
 	voted := m.votedList[i]
@@ -132,7 +132,9 @@ func pickableGain(d []float64) bool {
 func checkAgainstReferees(t *testing.T, what string, m *Model, full bool) (pruned int) {
 	t.Helper()
 	phiMAP := m.dirichletModes(m.zeta)
-	nbar := m.clusterTruthSizes()
+	nbar := make([]float64, m.T)
+	m.clusterTruthSizesInto(nbar)
+	prior := m.clusterPriorsInto(phiMAP, nbar, nil)
 	var psiMAP []float64
 	var pp *prodCache
 	if full {
@@ -155,7 +157,7 @@ func checkAgainstReferees(t *testing.T, what string, m *Model, full bool) (prune
 			}
 			copy(ref.logW, sc.logW)
 		}
-		got := m.instantiateItem(i, phiMAP, nbar, sc)
+		got := m.instantiateItem(i, prior, sc)
 		want := m.instantiateItemReferee(i, phiMAP, nbar, ref)
 		if !got.Equal(want) {
 			t.Fatalf("%s item %d: pruned greedy picked %v, referee %v", what, i, got.Slice(), want.Slice())

@@ -379,11 +379,11 @@ func applySticks(a, b, colSum []float64, conc, scale, omega float64) {
 // ---------------------------------------------------------------------------
 
 // refreshHardSig recomputes the hardened consensus signature summaries for
-// the listed items (nil = all): per item, the number of voted labels whose
-// imputed (or revealed) expectation exceeds ½, the index of the single
-// strongest label used as fallback when none does (so every answered item
-// has a non-empty signature), and the signature itself as a bitset so the
-// agreement kernels can intersect answers against it in O(words).
+// the listed items (nil = all): per item, the voted labels whose imputed
+// (or revealed) expectation exceeds ½, or the single strongest label as a
+// fallback when none does (so every answered item has a non-empty
+// signature), kept as a bitset so the agreement and two-coin kernels can
+// intersect answers against it in O(words), plus its size.
 func (m *Model) refreshHardSig(items []int) {
 	if m.ws.sigSet == nil {
 		m.ws.sigSet = make([]labelset.Set, m.numItems)
@@ -406,13 +406,11 @@ func (m *Model) refreshHardSig(items []int) {
 				bestK, bestV = k, v
 			}
 		}
-		fall := -1
 		if cnt == 0 && bestK >= 0 {
-			fall = bestK
 			cnt = 1
 			sig.Add(voted[bestK])
 		}
-		m.ws.sigFall[i], m.ws.sigLen[i] = fall, cnt
+		m.ws.sigLen[i] = cnt
 	}
 	if items == nil {
 		for i := 0; i < m.numItems; i++ {
@@ -478,38 +476,25 @@ func (m *Model) itemCoinStats(i int, buf []float64) {
 // answer, each accumulator slot receives some number of additions of the
 // same value (kw, or 1 for the raw counts) — the order of *identical*
 // addends doesn't change the result, so the loop is free to count the
-// (pos, vote) combinations first (via one sorted sweep of the answer's
-// canonical labels against the voted list) and then apply each slot's
-// additions in a register, as long as the addition *count* per slot matches
-// the per-voted-label walk it replaces.
+// (pos, vote) combinations first and then apply each slot's additions in a
+// register, as long as the addition *count* per slot matches the
+// per-voted-label walk it replaces.
 func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
 	offTP, offTPD, offFP, offFPD, _, _, offTPU, offTPDU, offFPU, offFPDU := m.coinOffsets()
-	voted := m.votedList[i]
-	vals := m.yhatVals[i]
-	fall := m.ws.sigFall[i]
+	sig := m.ws.sigSet[i]
 	// Hardened-signature sizes are per-item constants: every answer asserts
 	// or misses against the same nPos positive and nNeg negative slots.
 	nPos := m.ws.sigLen[i]
-	nNeg := len(voted) - nPos
+	nNeg := len(m.votedList[i]) - nPos
 	for _, ar := range refs {
 		u := ar.other
 		kappaRow := m.kappa.Row(u)
 		// Count this answer's votes that land on positive / negative slots.
-		nTP, nFP := 0, 0
-		k := 0
-		for _, c := range m.intern.Canon(ar.set) {
-			for k < len(voted) && voted[k] < c {
-				k++
-			}
-			if k < len(voted) && voted[k] == c {
-				if vals[k] > 0.5 || k == fall {
-					nTP++
-				} else {
-					nFP++
-				}
-				k++
-			}
-		}
+		// Its labels are a subset of the voted list and the signature is
+		// exactly the positive slots, so one popcount of answer ∩ signature
+		// counts the positive votes.
+		nTP := m.intern.At(ar.set).IntersectLen(sig)
+		nFP := len(m.intern.Canon(ar.set)) - nTP
 		buf[offTPDU+u] += float64(nPos)
 		buf[offTPU+u] += float64(nTP)
 		buf[offFPDU+u] += float64(nNeg)

@@ -374,7 +374,11 @@ type workScratch struct {
 	psiMean    *mat.Dense     // (T·M)×C posterior-mean confusion (dataLogLik)
 	phiMean    *mat.Dense     // T×C posterior-mean emissions (imputeTruth)
 	nbar       []float64      // T expected cluster truth-set sizes
-	sigFall    []int          // per item: fallback index into votedList, or -1
+	imputeTab  []float64      // C×T clamp(n̄_t·φ̄_tc, 0.02, 0.90) (imputePrep)
+	prevClamp  []float64      // C: clamp(labelPrev_c, 0.05, 0.90) (imputePrep)
+	prevLogOdd []float64      // C: ln prevClamp_c − ln(1 − prevClamp_c)
+	phiMAP     []float64      // T×C emission modes (Predict)
+	prior      []float64      // C×T capped cluster priors (clusterPriorsInto)
 	sigLen     []int          // per item: hardened-signature size
 	sigSet     []labelset.Set // per item: the signature as a bitset (lazily allocated)
 	prevKappa  *mat.Dense     // convergence snapshots (Fit)
@@ -1042,7 +1046,9 @@ func (m *Model) newWorkScratch() workScratch {
 		psiMean:    mat.New(T*M, C),
 		phiMean:    mat.New(T, C),
 		nbar:       make([]float64, T),
-		sigFall:    make([]int, I),
+		imputeTab:  make([]float64, C*T),
+		prevClamp:  make([]float64, C),
+		prevLogOdd: make([]float64, C),
 		sigLen:     make([]int, I),
 		prevKappa:  mat.New(U, M),
 		prevPhi:    mat.New(I, T),

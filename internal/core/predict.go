@@ -25,13 +25,12 @@ func (m *Model) Predict() ([]labelset.Set, error) {
 	// likelihood panels Π_c ψ^MAP (built once per call, read-only in the
 	// shards; nil entries fall back to the identical per-answer product).
 	psiMAP := m.dirichletModes(m.lambda)
-	phiMAP := m.dirichletModes(m.zeta)
-	nbar := m.clusterTruthSizes()
+	prior := m.clusterPriors()
 	pp := m.buildProductPanels(psiMAP)
 	m.parallelFor(m.numItems, func(lo, hi int) {
 		sc := newPredictScratch(m)
 		for i := lo; i < hi; i++ {
-			pred[i] = m.predictItem(i, psiMAP, phiMAP, nbar, pp, sc)
+			pred[i] = m.predictItem(i, psiMAP, prior, pp, sc)
 		}
 	})
 	return pred, nil
@@ -47,11 +46,41 @@ func (m *Model) PredictItem(i int) (labelset.Set, error) {
 		return labelset.Set{}, fmt.Errorf("%w: item %d out of range", ErrConfig, i)
 	}
 	psiMAP := m.dirichletModes(m.lambda)
-	phiMAP := m.dirichletModes(m.zeta)
-	nbar := m.clusterTruthSizes()
 	// No product panels for a single item: building the full per-set cache
 	// would dwarf the one item's work, and the nil path is bit-identical.
-	return m.predictItem(i, psiMAP, phiMAP, nbar, nil, newPredictScratch(m)), nil
+	return m.predictItem(i, psiMAP, m.clusterPriors(), nil, newPredictScratch(m)), nil
+}
+
+// clusterPriors builds the §3.4 cluster-prior table in the model's reused
+// buffers (see clusterPriorsInto). The table is read-only while the shards
+// instantiate, and like the product panels it is call-scoped: Predict,
+// PredictItem and the incremental refresh rebuild it, so they must not run
+// concurrently on one model.
+func (m *Model) clusterPriors() []float64 {
+	m.ws.phiMAP = m.dirichletModesInto(m.zeta, m.ws.phiMAP)
+	m.clusterTruthSizesInto(m.ws.nbar)
+	m.ws.prior = m.clusterPriorsInto(m.ws.phiMAP, m.ws.nbar, m.ws.prior)
+	return m.ws.prior
+}
+
+// clusterPriorsInto fills the label-major C×T table prior[c·T+t] =
+// min(n̄_t·φ^MAP_tc, 0.95), the capped cluster prior both predictCandidates
+// and instantiateItem read, once per prediction call instead of once per
+// (item, candidate, cluster). instantiateItem floors it at labelPrev_c;
+// predictCandidates needs the unfloored value, so the floor stays at the
+// use site.
+func (m *Model) clusterPriorsInto(phiMAP, nbar, dst []float64) []float64 {
+	T, C := m.T, m.numLabels
+	if cap(dst) < T*C {
+		dst = make([]float64, T*C)
+	}
+	dst = dst[:T*C]
+	for t := 0; t < T; t++ {
+		for c := 0; c < C; c++ {
+			dst[c*T+t] = math.Min(nbar[t]*phiMAP[t*C+c], 0.95)
+		}
+	}
+	return dst
 }
 
 // dirichletModes returns the row-wise MAP points of a matrix of Dirichlet
@@ -96,19 +125,11 @@ func (m *Model) dirichletModesInto(params *mat.Dense, out []float64) []float64 {
 	return out
 }
 
-// clusterTruthSizes estimates n̄_t, the expected true-label-set size of each
-// cluster, from the accumulated emission mass: Σ_c (ζ_tc − η) is the
+// clusterTruthSizesInto estimates n̄_t, the expected true-label-set size of
+// each cluster, from the accumulated emission mass: Σ_c (ζ_tc − η) is the
 // ϕ-weighted sum of imputed/observed truth masses in cluster t (DESIGN.md
-// D3).
-func (m *Model) clusterTruthSizes() []float64 {
-	out := make([]float64, m.T)
-	m.clusterTruthSizesInto(out)
-	return out
-}
-
-// clusterTruthSizesInto is the allocation-free form used every iteration by
-// imputeTruth (dst must have T entries; it doubles as the ϕ column-mass
-// accumulator).
+// D3). dst must have T entries; it doubles as the ϕ column-mass
+// accumulator.
 func (m *Model) clusterTruthSizesInto(dst []float64) {
 	T, C := m.T, m.numLabels
 	mat.Fill(dst, 0)
@@ -126,6 +147,7 @@ func (m *Model) clusterTruthSizesInto(dst []float64) {
 // predictScratch holds the per-item working buffers of prediction.
 type predictScratch struct {
 	logW    []float64   // T: ln w_it (cluster posterior incl. answer evidence)
+	inner   []float64   // T: one answer's community mixtures, then their logs
 	runLogS []float64   // T: running ln S_t(y) during greedy
 	trial   []float64   // T
 	wt      []float64   // T: mixture weights in probability space
@@ -144,11 +166,14 @@ type scoredCand struct {
 }
 
 func newPredictScratch(m *Model) *predictScratch {
+	T := m.T
+	rows := make([]float64, 5*T) // one allocation for the five T-rows
 	return &predictScratch{
-		logW:    make([]float64, m.T),
-		runLogS: make([]float64, m.T),
-		trial:   make([]float64, m.T),
-		wt:      make([]float64, m.T),
+		logW:    rows[0*T : 1*T : 1*T],
+		inner:   rows[1*T : 2*T : 2*T],
+		runLogS: rows[2*T : 3*T : 3*T],
+		trial:   rows[3*T : 4*T : 4*T],
+		wt:      rows[4*T : 5*T : 5*T],
 		seen:    labelset.New(m.numLabels),
 		active:  make([]int, 0, m.M),
 	}
@@ -158,18 +183,20 @@ func newPredictScratch(m *Model) *predictScratch {
 // documents the multinomial→Bernoulli conversion of the set score). pp, when
 // non-nil, supplies per-set likelihood panels over ψ^MAP so the community
 // mixture per (answer, cluster) is a contiguous floored dot; answers without
-// a panel recompute the product with identical float-operation order.
-func (m *Model) predictItem(i int, psiMAP, phiMAP, nbar []float64, pp *prodCache, sc *predictScratch) labelset.Set {
+// a panel recompute the product with identical float-operation order. prior
+// is the clusterPriorsInto table.
+func (m *Model) predictItem(i int, psiMAP, prior []float64, pp *prodCache, sc *predictScratch) labelset.Set {
 	m.predictWeights(i, psiMAP, pp, sc)
-	return m.instantiateItem(i, phiMAP, nbar, sc)
+	return m.instantiateItem(i, prior, sc)
 }
 
 // predictWeights fills sc.logW with the normalised cluster posterior
 // weights ln w_it = ln ϕ_it + Σ_{u∈U_i} ln Σ_m κ_um p(x_iu | ψ_tm^MAP).
 // The loop is answer-major: each answer's panel, κ row and set of active
-// communities are looked up once for all T clusters, while every
-// accumulator still adds its terms in the same order (answers in index
-// order, communities ascending), so the bits match a cluster-major loop.
+// communities are looked up once for all T clusters, and its T inner sums
+// go through one mathx.LogRow, while every accumulator still adds its terms
+// in the same order (answers in index order, communities ascending), so
+// the bits match a cluster-major loop.
 func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predictScratch) {
 	M, T, C := m.M, m.T, m.numLabels
 	for t := 0; t < T; t++ {
@@ -219,7 +246,11 @@ func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predi
 				if inner < 1e-300 {
 					inner = 1e-300
 				}
-				sc.logW[t] += math.Log(inner)
+				sc.inner[t] = inner
+			}
+			mathx.LogRow(sc.inner, sc.inner)
+			for t, l := range sc.inner {
+				sc.logW[t] += l
 			}
 		}
 	}
@@ -237,7 +268,7 @@ func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predi
 // ψ^MAP, so the per-item cost is independent of how many answers the item
 // has accumulated. Caught-up (full) publications still use predictItem's
 // full-evidence weights.
-func (m *Model) predictItemLocal(i int, phiMAP, nbar []float64, sc *predictScratch) labelset.Set {
+func (m *Model) predictItemLocal(i int, prior []float64, sc *predictScratch) labelset.Set {
 	for t := 0; t < m.T; t++ {
 		sc.logW[t] = math.Log(math.Max(m.phi.At(i, t), 1e-300))
 	}
@@ -245,19 +276,20 @@ func (m *Model) predictItemLocal(i int, phiMAP, nbar []float64, sc *predictScrat
 	for t := range sc.logW {
 		sc.logW[t] -= shift
 	}
-	return m.instantiateItem(i, phiMAP, nbar, sc)
+	return m.instantiateItem(i, prior, sc)
 }
 
 // instantiateItem runs the shared tail of the §3.4 instantiation from the
-// cluster weights prepared in sc.logW: candidate assembly, per-cluster
-// inclusion deltas, and the greedy (or capped exhaustive) subset search.
-func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratch) labelset.Set {
-	T, C := m.T, m.numLabels
+// cluster weights prepared in sc.logW and the clusterPriorsInto table:
+// candidate assembly, per-cluster inclusion deltas, and the greedy (or
+// capped exhaustive) subset search.
+func (m *Model) instantiateItem(i int, prior []float64, sc *predictScratch) labelset.Set {
+	T := m.T
 
 	// Candidate labels: every voted label plus cluster labels with
 	// appreciable posterior-weighted inclusion probability (this is where
 	// labels nobody proposed can still enter the consensus — R3).
-	candidates := m.predictCandidates(i, phiMAP, nbar, sc)
+	candidates := m.predictCandidates(i, prior, sc)
 
 	// Per-cluster per-label inclusion probability with hierarchical
 	// shrinkage (DESIGN.md D3): the item's calibrated truth posterior ŷ_ic
@@ -301,6 +333,11 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 	// least 0.04 at every greedy step and it never clears the step's
 	// bestScore+1e-12 bar (DESIGN.md §8). The exhaustive search keeps every
 	// candidate, because trimToCap ranks them all.
+	//
+	// Most clusters hold no mass (n̄_t = 1) and fall back to labelPrev_c, so
+	// p_tk repeats along a candidate's row: a cluster whose p is bitwise
+	// equal to the previous cluster's reuses that cluster's logarithms
+	// (DESIGN.md §8).
 	copy(sc.runLogS, sc.logW)
 	pk := sc.trial // free until the search starts
 	live := 0
@@ -309,13 +346,19 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 		// land in slot live ≤ k; d holds ln(1−p_tk) until k proves pickable.
 		d := sc.delta[live]
 		pickable := m.cfg.ExhaustivePrediction
-		for t := 0; t < T; t++ {
-			prior := math.Min(nbar[t]*phiMAP[t*C+c], 0.95)
-			if m.labelPrev[c] > prior {
-				prior = m.labelPrev[c]
+		row := prior[c*T : c*T+T]
+		lp := m.labelPrev[c]
+		for t, pr := range row {
+			if lp > pr {
+				pr = lp
 			}
-			p := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*prior, 1e-6, 0.99)
-			l1p := math.Log1p(-p)
+			p := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*pr, 1e-6, 0.99)
+			var l1p float64
+			if t > 0 && math.Float64bits(p) == math.Float64bits(pk[t-1]) {
+				l1p = d[t-1]
+			} else {
+				l1p = math.Log1p(-p)
+			}
 			sc.runLogS[t] += l1p
 			pk[t], d[t] = p, l1p
 			if p >= pickableP {
@@ -326,7 +369,11 @@ func (m *Model) instantiateItem(i int, phiMAP, nbar []float64, sc *predictScratc
 			continue
 		}
 		for t := 0; t < T; t++ {
-			d[t] = math.Log(pk[t]) - d[t]
+			if t > 0 && math.Float64bits(pk[t]) == math.Float64bits(pk[t-1]) {
+				d[t] = d[t-1]
+			} else {
+				d[t] = math.Log(pk[t]) - d[t]
+			}
 		}
 		candidates[live] = c
 		live++
@@ -347,7 +394,7 @@ const pickableP = 0.49
 // predictCandidates assembles the candidate label universe for an item:
 // voted labels always; plus the labels whose mixture inclusion probability
 // Σ_t W_t·φ̃_tc clears a small threshold (capped to keep the search bounded).
-func (m *Model) predictCandidates(i int, phiMAP, nbar []float64, sc *predictScratch) []int {
+func (m *Model) predictCandidates(i int, prior []float64, sc *predictScratch) []int {
 	T, C := m.T, m.numLabels
 	const inclusionThreshold = 0.2
 	// Prior-driven (non-voted) candidates are capped by the item's evidence
@@ -382,7 +429,12 @@ func (m *Model) predictCandidates(i int, phiMAP, nbar []float64, sc *predictScra
 			if sc.seen.Contains(c) {
 				continue
 			}
-			p := wt[t] * mathx.Clamp(nbar[t]*phiMAP[t*C+c], 0, 0.95)
+			// Clamp(x, 0, 0.95) from the table's min(x, 0.95).
+			v := prior[c*T+t]
+			if v < 0 {
+				v = 0
+			}
+			p := wt[t] * v
 			if p > inclusionThreshold {
 				extras = append(extras, scoredCand{c, p})
 				sc.seen.Add(c)

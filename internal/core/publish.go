@@ -53,8 +53,6 @@ type Publisher struct {
 	cursor int
 
 	dirtyBuf []int
-	phiMAP   []float64
-	nbar     []float64
 	preds    []labelset.Set
 }
 
@@ -270,22 +268,16 @@ func (p *Publisher) publishFull() (*ConsensusView, error) {
 // per-item loop), independent of the dirty-set choice.
 func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	src := p.src
-	p.phiMAP = src.dirichletModesInto(src.zeta, p.phiMAP)
-	if cap(p.nbar) < src.T {
-		p.nbar = make([]float64, src.T)
-	}
-	nbar := p.nbar[:src.T]
-	src.clusterTruthSizesInto(nbar)
+	prior := src.clusterPriors()
 
 	if cap(p.preds) < len(dirty) {
 		p.preds = make([]labelset.Set, len(dirty))
 	}
 	preds := p.preds[:len(dirty)]
-	phiMAP := p.phiMAP
 	mat.ParallelFor(len(dirty), mat.Shards(publishParallelism(), len(dirty)), func(_, lo, hi int) {
 		sc := newPredictScratch(src)
 		for k := lo; k < hi; k++ {
-			preds[k] = src.predictItemLocal(dirty[k], phiMAP, nbar, sc)
+			preds[k] = src.predictItemLocal(dirty[k], prior, sc)
 		}
 	})
 

@@ -2,14 +2,18 @@ package mat
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cpa/internal/mathx"
 )
 
 // ParallelFor splits [0, n) into `shards` contiguous ranges processed
-// concurrently, passing each worker its shard index for per-shard scratch. With one shard it runs inline (no goroutine overhead). This
-// is the paper's Algorithm 3 map step with goroutine shards substituting
-// for Spark executors (DESIGN.md D5).
+// concurrently, passing each worker its shard index for per-shard scratch.
+// With one shard it runs inline (no goroutine overhead). This is the
+// paper's Algorithm 3 map step with goroutine shards substituting for Spark
+// executors (DESIGN.md D5). A panic in a shard is re-raised on the caller's
+// goroutine once every shard has stopped, so callers can recover it as if
+// the loop had run inline.
 func ParallelFor(n, shards int, fn func(shard, lo, hi int)) {
 	if shards > n {
 		shards = n
@@ -19,14 +23,23 @@ func ParallelFor(n, shards int, fn func(shard, lo, hi int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[any]
 	wg.Add(shards)
 	for s := 0; s < shards; s++ {
 		go func(s int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failed.CompareAndSwap(nil, &r)
+				}
+			}()
 			fn(s, s*n/shards, (s+1)*n/shards)
 		}(s)
 	}
 	wg.Wait()
+	if r := failed.Load(); r != nil {
+		panic(*r)
+	}
 }
 
 // Shards clamps the requested parallelism to the loop length, never below

@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// Runtime kernel dispatch. Each backend is a full set of the eight kernel
-// entry points; the best available one is selected once at package init
+// Runtime kernel dispatch. Each backend is a full set of the kernel entry
+// points; the best available one is selected once at package init
 // from the detected CPU features (internal/cpufeat), so steady-state calls
 // pay one function-pointer indirection and zero branching. The scalar
 // reference backend is always registered and always available — it is the
@@ -31,6 +31,8 @@ type kernelImpl struct {
 	sum             func(v []float64) float64
 	flooredDot      func(w, x []float64, floor float64) float64
 	digammaRow      func(x, dst []float64)
+	logRow          func(x, dst []float64)
+	expRow          func(x, dst []float64)
 	logSumExp       func(v []float64) float64
 	addStrided      func(dst, src []float64, stride int)
 	mulStridedFloor func(dst, src []float64, stride int, floor float64)
@@ -49,6 +51,8 @@ var scalarImpl = kernelImpl{
 	sum:             sumScalar,
 	flooredDot:      flooredDotScalar,
 	digammaRow:      digammaRowScalar,
+	logRow:          logRowScalar,
+	expRow:          expRowScalar,
 	logSumExp:       logSumExpScalar,
 	addStrided:      addStridedScalar,
 	mulStridedFloor: mulStridedFloorScalar,

@@ -2,8 +2,8 @@ package mathx
 
 import "math"
 
-// This file is the repository's single home for the eight hot-loop vector
-// kernels (ISSUE 6): the exported entry points every caller — internal/mat,
+// This file is the repository's single home for the hot-loop vector
+// kernels: the exported entry points every caller — internal/mat,
 // internal/core, the baselines — routes through, plus the portable scalar
 // reference implementations that double as the always-available fallback
 // and the test oracle for the SIMD backends (dispatch.go, kernels_amd64.s,
@@ -13,10 +13,10 @@ import "math"
 //
 // The kernels come in two classes:
 //
-//   - Element-wise kernels (Axpy, AddScaled, Fill, Scale, DigammaRow): no
-//     cross-element accumulation, so any vectorisation is bit-identical to
-//     the scalar loop as long as each element sees the same operation
-//     sequence. The one hazard is fused multiply-add: an FMA contracts
+//   - Element-wise kernels (Axpy, AddScaled, Fill, Scale, DigammaRow,
+//     LogRow, ExpRow): no cross-element accumulation, so any vectorisation
+//     is bit-identical to the scalar loop as long as each element sees the
+//     same operation sequence. The one hazard is fused multiply-add: an FMA contracts
 //     a*x+y into one rounding where the contract requires two, so the
 //     scalar loops force the intermediate rounding with a float64()
 //     conversion (the Go-spec idiom that forbids fusion — without it the
@@ -36,13 +36,14 @@ import "math"
 //     blend-to-zero adds +0.0, and skipping would diverge from it when a
 //     lane accumulator holds -0.0.
 //
-// DigammaRow and LogSumExp additionally evaluate math-library primitives
-// (digamma's log, exp). Their SIMD backends replicate the platform libm
-// algorithm instruction for instruction (see kernels_amd64.s), so backends
-// agree bit-for-bit with the scalar reference *on the same platform*; across
-// platforms these two kernels inherit whatever per-architecture exp/log the
-// Go runtime ships (math.archExp/archLog differ between amd64 and arm64
-// already today). The pure-arithmetic kernels are bit-identical everywhere.
+// DigammaRow, LogRow, ExpRow and LogSumExp additionally evaluate
+// math-library primitives (log, exp). Their SIMD backends replicate the
+// platform libm algorithm instruction for instruction (see
+// kernels_amd64.s), so backends agree bit-for-bit with the scalar reference
+// *on the same platform*; across platforms these four kernels inherit
+// whatever per-architecture exp/log the Go runtime ships
+// (math.archExp/archLog differ between amd64 and arm64 already today). The
+// pure-arithmetic kernels are bit-identical everywhere.
 //
 // NaN *payload and sign* bits are excluded from the contract: any NaN
 // result matches any NaN result. IEEE 754 leaves payload propagation to the
@@ -149,6 +150,36 @@ func DigammaRow(x, dst []float64) {
 		return
 	}
 	active.digammaRow(x[:n], dst[:n])
+}
+
+// LogRow fills dst[i] = math.Log(x[i]) over the shorter of the two slices.
+// Element-wise: the SIMD backends replicate the platform math.Log
+// lane-parallel for positive normal inputs and hand every other input to
+// math.Log itself, so results are bit-identical to a caller-side scalar
+// loop. dst may alias x.
+func LogRow(x, dst []float64) {
+	n := len(x)
+	if len(dst) < n {
+		n = len(dst)
+	}
+	if n == 0 {
+		return
+	}
+	active.logRow(x[:n], dst[:n])
+}
+
+// ExpRow fills dst[i] = math.Exp(x[i]) over the shorter of the two slices,
+// bit-identical to a caller-side scalar loop on every backend (see LogRow).
+// dst may alias x.
+func ExpRow(x, dst []float64) {
+	n := len(x)
+	if len(dst) < n {
+		n = len(dst)
+	}
+	if n == 0 {
+		return
+	}
+	active.expRow(x[:n], dst[:n])
 }
 
 // AddStrided computes dst[i] += src[i*stride] — the strided gather the
@@ -497,6 +528,18 @@ func flooredDotGatherSumGroupsScalar(w, src []float64, offs []int, groups []int3
 func digammaRowScalar(x, dst []float64) {
 	for i := range x {
 		dst[i] = Digamma(x[i])
+	}
+}
+
+func logRowScalar(x, dst []float64) {
+	for i := range x {
+		dst[i] = math.Log(x[i])
+	}
+}
+
+func expRowScalar(x, dst []float64) {
+	for i := range x {
+		dst[i] = math.Exp(x[i])
 	}
 }
 

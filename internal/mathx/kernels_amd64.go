@@ -12,7 +12,7 @@ import (
 // assembly routines (kernels_amd64.s) process the 4-aligned prefix in the
 // canonical lane order, and these wrappers fold tails in sequentially —
 // the same canonical order the scalar reference specifies — and handle
-// digamma's special lanes with the scalar Digamma.
+// digamma's and log's special lanes with the scalar functions.
 
 // simdMinLen is the slice length below which the wrappers stay on the
 // scalar reference: under ~8 elements the asm call overhead costs more
@@ -46,6 +46,12 @@ func expSumBlockAsm(v []float64, maxv float64) float64
 
 //go:noescape
 func digammaBlockAsm(x, dst []float64) int
+
+//go:noescape
+func logBlockAsm(x, dst []float64) int
+
+//go:noescape
+func expBlockAsm(x, dst []float64)
 
 //go:noescape
 func addStridedAsm(dst, src []float64, stride int)
@@ -122,24 +128,40 @@ func flooredDotAVX2(w, x []float64, floor float64) float64 {
 	return s
 }
 
-func digammaRowAVX2(x, dst []float64) {
+func digammaRowAVX2(x, dst []float64) { specialBlockRow(x, dst, digammaBlockAsm, Digamma) }
+
+func logRowAVX2(x, dst []float64) { specialBlockRow(x, dst, logBlockAsm, math.Log) }
+
+// specialBlockRow drives a block kernel that writes whole 4-element blocks
+// until the first block holding a lane outside its fast path and returns the
+// count written: that block (or the tail) goes through the scalar function,
+// then the kernel resumes.
+func specialBlockRow(x, dst []float64, block func(x, dst []float64) int, scalar func(float64) float64) {
 	i, n := 0, len(x)
 	for i < n {
 		if n-i >= simdMinLen {
-			done := digammaBlockAsm(x[i:], dst[i:])
-			i += done
+			i += block(x[i:], dst[i:])
 			if i >= n {
 				return
 			}
 		}
-		// Scalar for the special block the asm stopped on, or the tail.
 		stop := i + 4
 		if stop > n {
 			stop = n
 		}
 		for ; i < stop; i++ {
-			dst[i] = Digamma(x[i])
+			dst[i] = scalar(x[i])
 		}
+	}
+}
+
+func expRowAVX2(x, dst []float64) {
+	n4 := len(x) &^ 3
+	if n4 > 0 {
+		expBlockAsm(x[:n4], dst)
+	}
+	for i := n4; i < len(x); i++ {
+		dst[i] = math.Exp(x[i])
 	}
 }
 
@@ -259,6 +281,8 @@ func registerSIMDBackends() {
 		sum:             sumAVX2,
 		flooredDot:      flooredDotAVX2,
 		digammaRow:      digammaRowAVX2,
+		logRow:          logRowAVX2,
+		expRow:          expRowScalar,
 		logSumExp:       logSumExpScalar,
 		addStrided:      addStridedAVX2,
 		mulStridedFloor: mulStridedFloorAVX2,
@@ -269,10 +293,11 @@ func registerSIMDBackends() {
 	}
 	// The vector exp replicates math.archExp's FMA variant, so it is only
 	// bit-identical to scalar math.Exp when the runtime takes that same
-	// path (math's useFMA: AVX && FMA). Without FMA, LogSumExp stays on
-	// the scalar kernel.
+	// path (math's useFMA: AVX && FMA). Without FMA, LogSumExp and ExpRow
+	// stay on the scalar kernels.
 	if cpufeat.X86.HasAVX && cpufeat.X86.HasFMA {
 		avx2.logSumExp = logSumExpAVX2
+		avx2.expRow = expRowAVX2
 	}
 	backends = append(backends, avx2)
 }

@@ -1,6 +1,6 @@
 //go:build amd64 && !purego
 
-// AVX2 kernel backends (ISSUE 6). Every routine here implements the
+// AVX2 kernel backends. Every routine here implements the
 // canonical kernel semantics specified by the scalar reference loops in
 // kernels.go, bit for bit:
 //
@@ -14,16 +14,19 @@
 //   - FlooredDot masks with VCMPPD(GE_OS) + VANDPD, so sub-floor entries
 //     contribute +0.0 to their lane — matching the scalar reference's
 //     explicit +0.0 adds.
-//   - expSumBlock replicates math.archExp's AVX/FMA path (exp_amd64.s,
-//     useFMA variant) lane-parallel, including the fused final x*(x+2)+1
-//     step and ldexp's two-multiply denormal path, so Σexp matches a
-//     scalar math.Exp loop bit for bit on any CPU where useFMA is set
-//     (the wrapper only registers it when cpufeat reports AVX+FMA).
-//   - digammaBlock replicates math.archLog (log_amd64.s) lane-parallel for
-//     the x >= 6 asymptotic region (always normal positive there, so the
-//     scalar routine's special-case branches are unreachable), and runs the
-//     ψ(x) = ψ(x+1) - 1/x recurrence with masked lane updates: inactive
-//     lanes subtract/add +0.0, which is a bit-exact identity. Blocks
+//   - expSumBlock and expBlock replicate math.archExp's AVX/FMA path
+//     (exp_amd64.s, useFMA variant) lane-parallel in the EXP4 macro,
+//     including the fused final x*(x+2)+1 step and ldexp's two-multiply
+//     denormal path, so each exp matches a scalar math.Exp bit for bit on
+//     any CPU where useFMA is set (the wrappers only register them when
+//     cpufeat reports AVX+FMA).
+//   - logBlock replicates math.archLog (log_amd64.s) lane-parallel in the
+//     LOG4 macro for positive normal inputs; blocks holding any other lane
+//     return early, like digammaBlock's, for the scalar math.Log.
+//   - digammaBlock runs LOG4 for the x >= 6 asymptotic region (always
+//     normal positive there), and runs the ψ(x) = ψ(x+1) - 1/x recurrence
+//     with masked lane updates: inactive lanes subtract/add +0.0, which is
+//     a bit-exact identity. Blocks
 //     containing a special lane (x <= 0, NaN, +Inf) make the routine return
 //     early with the element count processed so far; the Go wrapper handles
 //     those four elements with the scalar Digamma and resumes.
@@ -86,6 +89,123 @@
 #define intcD7FE intc<>+32(SB)
 #define intcDNEG52 intc<>+48(SB)
 #define intcD3FE intc<>+64(SB)
+
+// EXP4 computes Y1 = math.Exp(Y1) on four lanes: math.archExp's AVX/FMA
+// path (exp_amd64.s, useFMA variant) replicated lane-parallel, including
+// the fused final x*(x+2)+1 step, ldexp's two-multiply denormal path and
+// every special case (overflow, underflow, ±Inf, NaN), so no lane needs a
+// scalar fallback. Requires FMA. Clobbers Y2-Y13 (X registers included).
+#define EXP4 \
+	VMOVAPD Y1, Y8 /* keep original r for the special-case blends */ \
+	/* k = int32(round(LOG2E * r)); kf = float64(k) */ \
+	VMULPD expcLOG2E, Y1, Y2 \
+	VCVTPD2DQY Y2, X3 /* round-to-nearest, like CVTSD2SL */ \
+	VCVTDQ2PD X3, Y2 \
+	/* r -= kf*LN2U; r -= kf*LN2L (fused, exactly like archExp's avxfma) */ \
+	VFNMADD231PD expcLN2U, Y2, Y1 \
+	VFNMADD231PD expcLN2L, Y2, Y1 \
+	VMULPD expcSIXT, Y1, Y1 /* r *= 0.0625 */ \
+	/* Taylor series, FMA chain identical to archExp */ \
+	VMOVUPD expcT1, Y4 \
+	VFMADD213PD expcT2, Y1, Y4 \
+	VFMADD213PD expcT3, Y1, Y4 \
+	VFMADD213PD expcT4, Y1, Y4 \
+	VFMADD213PD expcT5, Y1, Y4 \
+	VFMADD213PD expcT6, Y1, Y4 \
+	VFMADD213PD expcHALF, Y1, Y4 \
+	VFMADD213PD expcONE, Y1, Y4 \
+	VMULPD Y4, Y1, Y1 /* r *= poly, src1=r */ \
+	/* Four squaring steps x = x*(x+2); the last is fused with +1.0 */ \
+	VADDPD expcTWO, Y1, Y4 \
+	VMULPD Y4, Y1, Y1 \
+	VADDPD expcTWO, Y1, Y4 \
+	VMULPD Y4, Y1, Y1 \
+	VADDPD expcTWO, Y1, Y4 \
+	VMULPD Y4, Y1, Y1 \
+	VADDPD expcTWO, Y1, Y4 \
+	VFMADD213PD expcONE, Y4, Y1 /* r = (r+2)*r + 1.0 (fused, like archExp) */ \
+	/* ldexp: kb = k + 1023 */ \
+	VPADDD intcD3FF, X3, X5 \
+	VMOVDQU intcDONE, X6 \
+	VPCMPGTD X5, X6, X6 /* den32 = (1 > kb)  <=> kb <= 0 */ \
+	VMOVDQU intcDNEG52, X7 \
+	VPCMPGTD X5, X7, X7 /* und32 = (-52 > kb) <=> kb < -52 */ \
+	VPCMPGTD intcD7FE, X5, X9 /* ovf32 = kb > 0x7FE <=> kb >= 0x7FF */ \
+	VMOVDQU intcD3FE, X10 \
+	VPAND X6, X10, X10 /* adj = den ? 0x3FE : 0 */ \
+	VPADDD X10, X5, X5 /* e1 = kb + adj */ \
+	VPMOVSXDQ X5, Y10 \
+	VPSLLQ $52, Y10, Y10 /* scale1 = 2^(e1-1023) bits */ \
+	VPMOVSXDQ X6, Y6 /* den64 */ \
+	VPMOVSXDQ X7, Y7 /* und64 */ \
+	VPMOVSXDQ X9, Y9 /* ovf64 */ \
+	VMOVUPD expcONE, Y11 \
+	VMOVUPD expcMINNORM, Y12 \
+	VBLENDVPD Y6, Y12, Y11, Y11 /* scale2 = den ? 2^-1022 : 1.0 */ \
+	VMULPD Y10, Y1, Y1 /* y *= scale1, src1=y */ \
+	VMULPD Y11, Y1, Y1 /* y *= scale2 (second rounding of the denormal path) */ \
+	VANDNPD Y1, Y7, Y1 /* kb < -52: underflow to +0 */ \
+	/* overflow to +Inf: via kb >= 0x7FF, and via r > Overflow (covers the */ \
+	/* huge inputs whose int32 k wrapped) */ \
+	VMOVUPD expcPOSINF, Y12 \
+	VBLENDVPD Y9, Y12, Y1, Y1 \
+	VCMPPD $0x0E, expcOVF, Y8, Y9 /* r > Overflow (GT_OS) */ \
+	VBLENDVPD Y9, Y12, Y1, Y1 \
+	/* NaN/±Inf input: return r itself... then -Inf: return +0 */ \
+	VANDPD expcABSMASK, Y8, Y13 \
+	VPCMPGTQ expcNFTHRESH, Y13, Y13 /* abs(r) >= +Inf bits */ \
+	VBLENDVPD Y13, Y8, Y1, Y1 \
+	VPCMPEQQ expcNEGINF, Y8, Y13 \
+	VANDNPD Y1, Y13, Y1
+
+// LOG4 computes Y9 = math.archLog(Y1) on four lanes whose inputs are
+// positive normal numbers (the scalar routine's special-case branches are
+// then unreachable). It mirrors log_amd64.s step for step, with the same
+// src1 operands throughout. Requires Y13 = 1.0; clobbers Y2, Y3, Y10-Y12.
+#define LOG4 \
+	VANDPD digcMANTMASK, Y1, Y2 \
+	VORPD digcHALF, Y2, Y2 /* f1 = frexp mantissa in [0.5, 1) */ \
+	VPSRLQ $52, Y1, Y3 /* biased exponent (x > 0: no sign bit) */ \
+	VPOR digcMAGIC, Y3, Y3 \
+	VSUBPD digcMAGIC, Y3, Y3 /* float64(biased exponent), exact */ \
+	VSUBPD digcC1022, Y3, Y3 /* k = e - 0x3FE, exact */ \
+	VMOVUPD digcHSQRT2, Y10 \
+	VCMPPD $5, Y2, Y10, Y10 /* NLT: !(HSqrt2 < f1), i.e. f1 <= sqrt2/2 */ \
+	VANDPD Y10, Y13, Y10 /* adj = 1.0 or +0.0 */ \
+	VSUBPD Y10, Y3, Y3 /* k -= adj, src1=k */ \
+	VADDPD Y13, Y10, Y10 /* mult = adj + 1.0, src1=adj */ \
+	VMULPD Y10, Y2, Y2 /* f1 *= mult, src1=f1 */ \
+	VSUBPD Y13, Y2, Y2 /* f = f1 - 1, src1=f1 */ \
+	VMOVUPD digcTWO, Y10 \
+	VADDPD Y2, Y10, Y10 /* 2 + f, src1=2.0 */ \
+	VDIVPD Y10, Y2, Y10 /* s = f/(2+f), src1=f */ \
+	VMULPD Y10, Y10, Y11 /* s2, src1=s */ \
+	VMULPD Y11, Y11, Y12 /* s4, src1=s2 */ \
+	VMOVUPD digcL7, Y9 \
+	VMULPD Y12, Y9, Y9 /* L7*s4, src1=L7 */ \
+	VADDPD digcL5, Y9, Y9 \
+	VMULPD Y12, Y9, Y9 \
+	VADDPD digcL3, Y9, Y9 \
+	VMULPD Y12, Y9, Y9 \
+	VADDPD digcL1, Y9, Y9 \
+	VMULPD Y9, Y11, Y11 /* t1 = s2*poly, src1=s2 */ \
+	VMOVUPD digcL6, Y9 \
+	VMULPD Y12, Y9, Y9 \
+	VADDPD digcL4, Y9, Y9 \
+	VMULPD Y12, Y9, Y9 \
+	VADDPD digcL2, Y9, Y9 \
+	VMULPD Y9, Y12, Y12 /* t2 = s4*poly, src1=s4 */ \
+	VADDPD Y12, Y11, Y11 /* R = t1 + t2, src1=t1 */ \
+	VMULPD digcHALF, Y2, Y9 /* 0.5*f */ \
+	VMULPD Y2, Y9, Y9 /* hfsq = (0.5*f)*f, src1=0.5*f */ \
+	VADDPD Y9, Y11, Y11 /* hfsq+R computed as R+hfsq, like the scalar asm */ \
+	VMULPD Y11, Y10, Y10 /* s*(hfsq+R), src1=s */ \
+	VMULPD digcLN2LO, Y3, Y11 /* k*Ln2Lo */ \
+	VADDPD Y11, Y10, Y10 /* s*(hfsq+R) + k*Ln2Lo, src1=s*(hfsq+R) */ \
+	VSUBPD Y10, Y9, Y9 /* hfsq - (...), src1=hfsq */ \
+	VSUBPD Y2, Y9, Y9 /* (...) - f, src1=above */ \
+	VMULPD digcLN2HI, Y3, Y3 /* k*Ln2Hi, src1=k */ \
+	VSUBPD Y9, Y3, Y9 /* lg = k*Ln2Hi - (...), src1=k*Ln2Hi */
 
 // func axpyAsm(a float64, x, y []float64)
 // y[i] += a*x[i]; handles the whole slice including the tail.
@@ -299,74 +419,7 @@ TEXT ·expSumBlockAsm(SB), NOSPLIT, $0-40
 exp4:
 	VMOVUPD (SI)(AX*8), Y1
 	VSUBPD Y15, Y1, Y1        // r = v - maxv, src1=v
-	VMOVAPD Y1, Y8            // keep original r for the special-case blends
-
-	// k = int32(round(LOG2E * r)); kf = float64(k)
-	VMULPD expcLOG2E, Y1, Y2
-	VCVTPD2DQY Y2, X3         // round-to-nearest, like CVTSD2SL
-	VCVTDQ2PD X3, Y2
-
-	// r -= kf*LN2U; r -= kf*LN2L (fused, exactly like archExp's avxfma)
-	VFNMADD231PD expcLN2U, Y2, Y1
-	VFNMADD231PD expcLN2L, Y2, Y1
-	VMULPD expcSIXT, Y1, Y1   // r *= 0.0625
-
-	// Taylor series, FMA chain identical to archExp
-	VMOVUPD expcT1, Y4
-	VFMADD213PD expcT2, Y1, Y4
-	VFMADD213PD expcT3, Y1, Y4
-	VFMADD213PD expcT4, Y1, Y4
-	VFMADD213PD expcT5, Y1, Y4
-	VFMADD213PD expcT6, Y1, Y4
-	VFMADD213PD expcHALF, Y1, Y4
-	VFMADD213PD expcONE, Y1, Y4
-	VMULPD Y4, Y1, Y1         // r *= poly, src1=r
-
-	// Four squaring steps x = x*(x+2); the last is fused with +1.0
-	VADDPD expcTWO, Y1, Y4
-	VMULPD Y4, Y1, Y1
-	VADDPD expcTWO, Y1, Y4
-	VMULPD Y4, Y1, Y1
-	VADDPD expcTWO, Y1, Y4
-	VMULPD Y4, Y1, Y1
-	VADDPD expcTWO, Y1, Y4
-	VFMADD213PD expcONE, Y4, Y1 // r = (r+2)*r + 1.0 (fused, like archExp)
-
-	// ldexp: kb = k + 1023
-	VPADDD intcD3FF, X3, X5
-	VMOVDQU intcDONE, X6
-	VPCMPGTD X5, X6, X6       // den32 = (1 > kb)  <=> kb <= 0
-	VMOVDQU intcDNEG52, X7
-	VPCMPGTD X5, X7, X7       // und32 = (-52 > kb) <=> kb < -52
-	VPCMPGTD intcD7FE, X5, X9 // ovf32 = kb > 0x7FE <=> kb >= 0x7FF
-	VMOVDQU intcD3FE, X10
-	VPAND X6, X10, X10        // adj = den ? 0x3FE : 0
-	VPADDD X10, X5, X5        // e1 = kb + adj
-	VPMOVSXDQ X5, Y10
-	VPSLLQ $52, Y10, Y10      // scale1 = 2^(e1-1023) bits
-	VPMOVSXDQ X6, Y6          // den64
-	VPMOVSXDQ X7, Y7          // und64
-	VPMOVSXDQ X9, Y9          // ovf64
-	VMOVUPD expcONE, Y11
-	VMOVUPD expcMINNORM, Y12
-	VBLENDVPD Y6, Y12, Y11, Y11 // scale2 = den ? 2^-1022 : 1.0
-	VMULPD Y10, Y1, Y1        // y *= scale1, src1=y
-	VMULPD Y11, Y1, Y1        // y *= scale2 (second rounding of the denormal path)
-	VANDNPD Y1, Y7, Y1        // kb < -52: underflow to +0
-
-	// overflow to +Inf: via kb >= 0x7FF, and via r > Overflow (covers the
-	// huge inputs whose int32 k wrapped)
-	VMOVUPD expcPOSINF, Y12
-	VBLENDVPD Y9, Y12, Y1, Y1
-	VCMPPD $0x0E, expcOVF, Y8, Y9 // r > Overflow (GT_OS)
-	VBLENDVPD Y9, Y12, Y1, Y1
-
-	// NaN/±Inf input: return r itself... then -Inf: return +0
-	VANDPD expcABSMASK, Y8, Y13
-	VPCMPGTQ expcNFTHRESH, Y13, Y13 // abs(r) >= +Inf bits
-	VBLENDVPD Y13, Y8, Y1, Y1
-	VPCMPEQQ expcNEGINF, Y8, Y13
-	VANDNPD Y1, Y13, Y1
+	EXP4
 
 	VADDPD Y1, Y0, Y0         // acc += exp lanes, src1=acc
 	ADDQ $4, AX
@@ -455,50 +508,7 @@ digasym:
 	VMULPD digcHALF, Y5, Y8   // 0.5*inv
 
 	// lg = archLog(x) on four lanes; x >= 6 here, always normal positive.
-	// Mirrors log_amd64.s step for step (same src1 operands throughout).
-	VANDPD digcMANTMASK, Y1, Y2
-	VORPD digcHALF, Y2, Y2    // f1 = frexp mantissa in [0.5, 1)
-	VPSRLQ $52, Y1, Y3        // biased exponent (x > 0: no sign bit)
-	VPOR digcMAGIC, Y3, Y3
-	VSUBPD digcMAGIC, Y3, Y3  // float64(biased exponent), exact
-	VSUBPD digcC1022, Y3, Y3  // k = e - 0x3FE, exact
-	VMOVUPD digcHSQRT2, Y10
-	VCMPPD $5, Y2, Y10, Y10   // NLT: !(HSqrt2 < f1), i.e. f1 <= sqrt2/2
-	VANDPD Y10, Y13, Y10      // adj = 1.0 or +0.0
-	VSUBPD Y10, Y3, Y3        // k -= adj, src1=k
-	VADDPD Y13, Y10, Y10      // mult = adj + 1.0, src1=adj
-	VMULPD Y10, Y2, Y2        // f1 *= mult, src1=f1
-	VSUBPD Y13, Y2, Y2        // f = f1 - 1, src1=f1
-	VMOVUPD digcTWO, Y10
-	VADDPD Y2, Y10, Y10       // 2 + f, src1=2.0
-	VDIVPD Y10, Y2, Y10       // s = f/(2+f), src1=f
-	VMULPD Y10, Y10, Y11      // s2, src1=s
-	VMULPD Y11, Y11, Y12      // s4, src1=s2
-	VMOVUPD digcL7, Y9
-	VMULPD Y12, Y9, Y9        // L7*s4, src1=L7
-	VADDPD digcL5, Y9, Y9
-	VMULPD Y12, Y9, Y9
-	VADDPD digcL3, Y9, Y9
-	VMULPD Y12, Y9, Y9
-	VADDPD digcL1, Y9, Y9
-	VMULPD Y9, Y11, Y11       // t1 = s2*poly, src1=s2
-	VMOVUPD digcL6, Y9
-	VMULPD Y12, Y9, Y9
-	VADDPD digcL4, Y9, Y9
-	VMULPD Y12, Y9, Y9
-	VADDPD digcL2, Y9, Y9
-	VMULPD Y9, Y12, Y12       // t2 = s4*poly, src1=s4
-	VADDPD Y12, Y11, Y11      // R = t1 + t2, src1=t1
-	VMULPD digcHALF, Y2, Y9   // 0.5*f
-	VMULPD Y2, Y9, Y9         // hfsq = (0.5*f)*f, src1=0.5*f
-	VADDPD Y9, Y11, Y11       // hfsq+R computed as R+hfsq, like the scalar asm
-	VMULPD Y11, Y10, Y10      // s*(hfsq+R), src1=s
-	VMULPD digcLN2LO, Y3, Y11 // k*Ln2Lo
-	VADDPD Y11, Y10, Y10      // s*(hfsq+R) + k*Ln2Lo, src1=s*(hfsq+R)
-	VSUBPD Y10, Y9, Y9        // hfsq - (...), src1=hfsq
-	VSUBPD Y2, Y9, Y9         // (...) - f, src1=above
-	VMULPD digcLN2HI, Y3, Y3  // k*Ln2Hi, src1=k
-	VSUBPD Y9, Y3, Y9         // lg = k*Ln2Hi - (...), src1=k*Ln2Hi
+	LOG4
 
 	// result = ((result + lg) - 0.5*inv) - series
 	VADDPD Y9, Y4, Y4         // src1=result
@@ -508,6 +518,61 @@ digasym:
 	ADDQ $4, AX
 	JMP  digblock
 digdone:
+	VZEROUPPER
+	MOVQ AX, ret+48(FP)
+	RET
+
+// func expBlockAsm(x, dst []float64)
+// len(x) must be a positive multiple of 4 (dst at least as long). Writes
+// dst[i] = math.Exp(x[i]) with EXP4; every lane, special or not, takes the
+// vector path (requires FMA — only registered when cpufeat reports it).
+TEXT ·expBlockAsm(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ dst_base+24(FP), DI
+	XORQ AX, AX
+expblock:
+	VMOVUPD (SI)(AX*8), Y1
+	EXP4
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  expblock
+	VZEROUPPER
+	RET
+
+// func logBlockAsm(x, dst []float64) int
+// Writes whole 4-element blocks of dst[i] = math.Log(x[i]) with LOG4 until
+// the first block containing a lane outside the positive normal range
+// (x < 2^-1022, ±0, negative, NaN, +Inf); returns the number of elements
+// written. The Go wrapper evaluates that block with the scalar math.Log and
+// resumes.
+TEXT ·logBlockAsm(SB), NOSPLIT, $0-56
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ dst_base+24(FP), DI
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	VMOVUPD digcONE, Y13
+logblock:
+	CMPQ AX, DX
+	JGE  logdone
+	VMOVUPD (SI)(AX*8), Y1
+
+	// fast-path mask: x >= 2^-1022 and x != +Inf (NaN fails the compare)
+	VCMPPD $0x0D, expcMINNORM, Y1, Y2 // x >= MinNormal (GE_OS)
+	VPCMPEQQ digcPOSINF, Y1, Y3
+	VANDNPD Y2, Y3, Y2        // fast = ~(x == +Inf) & (x >= MinNormal)
+	VMOVMSKPD Y2, BX
+	CMPL BX, $0xF
+	JNE  logdone              // special lane: caller handles this block
+
+	LOG4
+	VMOVUPD Y9, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  logblock
+logdone:
 	VZEROUPPER
 	MOVQ AX, ret+48(FP)
 	RET

@@ -9,14 +9,15 @@ import "cpa/internal/cpufeat"
 // assembly walks the 4-aligned prefix in the canonical lane order and the
 // wrappers fold tails sequentially.
 //
-// Only the six pure-arithmetic kernels are vectorised on arm64. DigammaRow
-// and LogSumExp stay on the scalar reference: their SIMD variants require
-// replicating the platform math.Log/math.Exp algorithm lane-parallel
-// (arm64's runtime uses different archExp/archLog code than amd64), and
-// without arm64 hardware in the development loop a hand-replicated
-// transcendental kernel cannot be bit-verified against the scalar oracle.
-// The scalar fallback is always correct, merely slower; a future backend
-// can upgrade these two pointers once it can run the equivalence suite.
+// Only the pure-arithmetic kernels are vectorised on arm64. DigammaRow,
+// LogRow, ExpRow and LogSumExp stay on the scalar reference: their SIMD
+// variants require replicating the platform math.Log/math.Exp algorithm
+// lane-parallel (arm64's runtime uses different archExp/archLog code than
+// amd64), and without arm64 hardware in the development loop a
+// hand-replicated transcendental kernel cannot be bit-verified against the
+// scalar oracle. The scalar fallback is always correct, merely slower; a
+// future backend can upgrade these four pointers once it can run the
+// equivalence suite.
 
 // simdMinLen is the slice length below which the wrappers stay on the
 // scalar reference — same pure-perf cutoff as the amd64 backend.
@@ -117,6 +118,8 @@ func registerSIMDBackends() {
 		sum:             sumNEON,
 		flooredDot:      flooredDotNEON,
 		digammaRow:      digammaRowScalar,
+		logRow:          logRowScalar,
+		expRow:          expRowScalar,
 		logSumExp:       logSumExpScalar,
 		addStrided:      addStridedScalar,
 		mulStridedFloor: mulStridedFloorScalar,

@@ -11,10 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"cpa/internal/answers"
 	"cpa/internal/core"
+	"cpa/internal/labelset"
 )
 
 // TestJournalOffsetsInStats pins the satellite contract: Job.Stats exposes
@@ -453,5 +456,53 @@ func TestJournalTailOfCrashedJob(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("tail of a crashed job (wait_ms=%d): status %d, want 503", waitMS, resp.StatusCode)
 		}
+	}
+}
+
+// TestJournalDropRacesTailReaders reads a job's durable journal offset from
+// several goroutines while the job crashes or closes: under -race the drop
+// must be ordered with those readers, and every read sees either the
+// journal or errJournalClosed.
+func TestJournalDropRacesTailReaders(t *testing.T) {
+	for _, stop := range []string{"crash", "close"} {
+		t.Run(stop, func(t *testing.T) {
+			reg := mustOpen(t, Config{Dir: t.TempDir(), BatchWait: time.Millisecond})
+			defer reg.Close()
+			job, err := reg.Create(JobSpec{ID: "j", Items: 8, Workers: 4, Labels: 3, Model: core.Config{Seed: 1, BatchSize: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Ingest([]answers.Answer{{Item: 0, Worker: 0, Labels: labelset.Of(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if _, err := job.journalDurable(); err != nil && !errors.Is(err, errJournalClosed) {
+							t.Errorf("journalDurable: %v", err)
+						}
+						select {
+						case <-done:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			if stop == "crash" {
+				job.crash()
+			} else if err := job.Close(); err != nil {
+				t.Error(err)
+			}
+			close(done)
+			wg.Wait()
+			if _, err := job.journalDurable(); !errors.Is(err, errJournalClosed) {
+				t.Fatalf("after %s: %v, want errJournalClosed", stop, err)
+			}
+		})
 	}
 }

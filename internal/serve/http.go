@@ -179,10 +179,30 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Errorf("%w: %q", ErrNotFound, r.PathValue("id")))
 		return
 	}
-	// The whole request is decoded before Job.Ingest applies queue
-	// backpressure, so the body itself must be bounded or one oversized
-	// POST exhausts memory before the 429 path can fire. Chunk large
-	// streams into multiple requests.
+	// X-CPA-Epoch stamps the write with the ownership epoch the sender
+	// believes is current (the router sets it on every proxied write); a
+	// mismatch or a deposed replica fences the batch with 409. Unstamped
+	// writes (single-node clients) skip the equality check.
+	epoch := int64(-1)
+	if h := r.Header.Get(epochHeader); h != "" {
+		v, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || v < 0 {
+			httpError(w, fmt.Errorf("%w: bad %s header %q", ErrInvalid, epochHeader, h))
+			return
+		}
+		epoch = v
+	}
+	// A job whose queue is already at its limit refuses every batch: answer
+	// 429 before reading the body, so a saturated job does not upload and
+	// decode what it will refuse anyway.
+	if err := job.queueFull(epoch); err != nil {
+		httpError(w, err)
+		return
+	}
+	// Otherwise the whole request is decoded before Job.IngestAt applies
+	// queue backpressure, so the body itself must be bounded or one
+	// oversized POST exhausts memory before the 429 path can fire. Chunk
+	// large streams into multiple requests.
 	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	var batch []answers.Answer
 	ct := r.Header.Get("Content-Type")
@@ -236,19 +256,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		for i, ja := range req.Answers {
 			batch[i] = ja.Answer()
 		}
-	}
-	// X-CPA-Epoch stamps the write with the ownership epoch the sender
-	// believes is current (the router sets it on every proxied write); a
-	// mismatch or a deposed replica fences the batch with 409. Unstamped
-	// writes (single-node clients) skip the equality check.
-	epoch := int64(-1)
-	if h := r.Header.Get(epochHeader); h != "" {
-		v, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || v < 0 {
-			httpError(w, fmt.Errorf("%w: bad %s header %q", ErrInvalid, epochHeader, h))
-			return
-		}
-		epoch = v
 	}
 	if err := job.IngestAt(batch, epoch); err != nil {
 		httpError(w, err)

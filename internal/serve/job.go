@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,6 +220,19 @@ func (j *Job) admitLocked(epoch int64, n int) error {
 	if depth := len(j.queue) - j.head + j.reserved; depth+n > j.queueLimit {
 		return fmt.Errorf("%w: %d queued + %d incoming > limit %d",
 			ErrQueueFull, depth, n, j.queueLimit)
+	}
+	return nil
+}
+
+// queueFull returns admission's ErrQueueFull when queued + reserved
+// answers already reach the queue limit, so any non-empty batch would be
+// refused; otherwise nil. Every other refusal (epoch, closed, failed) is
+// left to IngestAt's admission.
+func (j *Job) queueFull(epoch int64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.admitLocked(epoch, 1); errors.Is(err, ErrQueueFull) {
+		return err
 	}
 	return nil
 }
@@ -663,13 +679,23 @@ func (j *Job) Close() error {
 			err = j.truncateJournal()
 		}
 	}
-	if j.journal != nil {
-		if cerr := j.journal.Close(); err == nil {
+	if jr := j.dropJournal(); jr != nil {
+		if cerr := jr.Close(); err == nil {
 			err = cerr
 		}
-		j.journal = nil
 	}
 	return err
+}
+
+// dropJournal detaches the journal under j.mu, so the readers that check it
+// under the mutex (the journal tail's journalDurable and journalSection) see
+// it either attached or gone, and returns it for the caller to close.
+func (j *Job) dropJournal() *journal {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	jr := j.journal
+	j.journal = nil
+	return jr
 }
 
 // crash simulates a hard kill for recovery tests: the fitter stops without
@@ -686,9 +712,8 @@ func (j *Job) crash() {
 	j.mu.Unlock()
 	j.signal()
 	j.wg.Wait()
-	if j.journal != nil {
-		j.journal.closeCrash()
-		j.journal = nil
+	if jr := j.dropJournal(); jr != nil {
+		jr.closeCrash()
 	}
 }
 
@@ -710,7 +735,7 @@ func (j *Job) run() {
 		}
 		n := len(*bp)
 		start := time.Now()
-		err := j.fitBatch(*bp, &roundsSinceSave)
+		err := j.fitGuarded(*bp, &roundsSinceSave)
 		dur := time.Since(start)
 		// PartialFit copies what it keeps (label sets are flattened into the
 		// model's own storage), so the batch recycles as soon as the round
@@ -729,6 +754,28 @@ func (j *Job) run() {
 			j.applyTune()
 		}
 	}
+}
+
+// fitRoundHook, when set, runs at the start of every fit round. It is a
+// fault-injection seam for tests and must be set before any job starts.
+var fitRoundHook func(j *Job)
+
+// fitGuarded runs one fit round and turns a panic in it — on the fitter
+// goroutine or, via mat.ParallelFor, on one of its shards — into an error.
+// run latches the error as the job's failure and stops the fitter, so the
+// job's ingests fail through admission and its JobStats.Error reports the
+// panic, while every other job keeps serving.
+func (j *Job) fitGuarded(batch []answers.Answer, roundsSinceSave *int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: fitter panic: %v", r)
+			log.Printf("serve: job %s: fitter panic: %v\n%s", j.spec.ID, r, debug.Stack())
+		}
+	}()
+	if fitRoundHook != nil {
+		fitRoundHook(j)
+	}
+	return j.fitBatch(batch, roundsSinceSave)
 }
 
 // applyTune lets the tuner close a measurement window and applies any
