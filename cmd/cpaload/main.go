@@ -10,13 +10,6 @@
 //	cpaload -scenario spammer-flood
 //	cpaload -scenario all -scale 0.06 -seed 3 -json cpaload.json
 //	cpaload -scenario bursty -addr http://localhost:8080 -realtime
-//	cpaload -scenario capacity-sweep -json capacity.json
-//
-// The capacity-sweep pseudo-scenario (not part of 'all') runs the USL
-// capacity sweep instead of a closed-loop scenario: it measures throughput
-// ladders over Parallelism, mini-batch size and offered concurrency, fits
-// X(n) = γn/(1+α(n−1)+βn(n−1)) per dimension, and A/B-tests serve's
-// AutoTune against the best hand-swept rung (see DESIGN.md §13).
 //
 // By default each scenario runs against an in-process server with a
 // virtual clock (the arrival schedule shapes the request sequence at zero
@@ -57,7 +50,6 @@ func main() {
 		}
 		fmt.Printf("%-16s primary hard-killed mid-stream; the router promotes the most-caught-up follower losslessly\n", loadgen.ClusterFailoverScenario)
 		fmt.Printf("%-16s planned zero-downtime ownership transfer under live ingestion\n", loadgen.ClusterHandoffScenario)
-		fmt.Printf("%-16s USL capacity sweep: scalability ladders, per-dimension fits, auto-tune A/B (not part of 'all')\n", loadgen.CapacitySweepScenario)
 		return
 	}
 	if *scenario == "" {
@@ -87,27 +79,6 @@ func main() {
 	failed := false
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		if name == loadgen.CapacitySweepScenario {
-			// The capacity sweep drives the serving core in-process at a
-			// ladder of settings; -addr does not apply.
-			if *addr != "" {
-				fmt.Fprintf(os.Stderr, "cpaload: %s: capacity sweeps require the in-process target, ignoring -addr\n", name)
-			}
-			rep, err := loadgen.RunCapacity(loadgen.CapacityConfig{
-				Scale: *scale, Seed: *seed, DataDir: *data, Logf: logf,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cpaload: %s: %v\n", name, err)
-				failed = true
-				continue
-			}
-			reports = append(reports, rep)
-			fmt.Println(rep.Summary())
-			if len(rep.Failed()) > 0 {
-				failed = true
-			}
-			continue
-		}
 		if isCluster[name] {
 			// Cluster scenarios build their own in-process cluster; -addr
 			// does not apply (there is no external router to chaos-test).

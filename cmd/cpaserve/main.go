@@ -52,23 +52,17 @@ func main() {
 		syncJrnl  = flag.Bool("sync-journal", false, "fsync the journal after every ingested batch")
 		truncate  = flag.Bool("truncate-journal", false, "drop the journal prefix behind each durable checkpoint (bounded disk for long-lived jobs)")
 		truncMin  = flag.Int64("truncate-min", 0, "minimum droppable prefix in bytes before a truncation fires (0 = default 64KiB)")
-		autoTune  = flag.Bool("auto-tune", false, "steer each owned job's Parallelism and mini-batch size toward the measured USL knee (DESIGN.md §13; tune annotations replicate as journal no-ops)")
-		tuneWin   = flag.Int("auto-tune-window", 0, "fit rounds per auto-tune measurement window (0 = default 8)")
-		tuneMaxP  = flag.Int("auto-tune-max-par", 0, "auto-tune Parallelism ladder cap (0 = default GOMAXPROCS)")
 	)
 	flag.Parse()
 
 	cfg := serve.Config{
-		Dir:                    *data,
-		QueueLimit:             *queue,
-		SaveEvery:              *saveEvery,
-		BatchWait:              *batchWait,
-		SyncJournal:            *syncJrnl,
-		TruncateJournal:        *truncate,
-		TruncateMin:            *truncMin,
-		AutoTune:               *autoTune,
-		AutoTuneWindow:         *tuneWin,
-		AutoTuneMaxParallelism: *tuneMaxP,
+		Dir:             *data,
+		QueueLimit:      *queue,
+		SaveEvery:       *saveEvery,
+		BatchWait:       *batchWait,
+		SyncJournal:     *syncJrnl,
+		TruncateJournal: *truncate,
+		TruncateMin:     *truncMin,
 	}
 	who := "cpaserve"
 	var (

@@ -44,6 +44,7 @@ type follower struct {
 	dir    string // staging dir (node's replicas tree)
 	client *http.Client
 	spec   serve.JobSpec
+	sync   bool // the node's SyncJournal: staging renames are made durable
 
 	mu          sync.Mutex
 	ap          *serve.Applier
@@ -76,13 +77,13 @@ type follower struct {
 // prefix of the new primary's stream. Staging that cannot be resumed (no
 // prior state, a changed spec, a corrupt file) is discarded and rebuilt
 // from scratch.
-func startFollower(jobID, source, dir string, client *http.Client) (*follower, error) {
+func startFollower(jobID, source, dir string, client *http.Client, sync bool) (*follower, error) {
 	var spec serve.JobSpec
 	if err := getJSON(client, source+"/v1/jobs/"+jobID+"/spec", &spec); err != nil {
 		return nil, fmt.Errorf("cluster: fetching spec for %q from %s: %w", jobID, source, err)
 	}
 	fo := &follower{
-		jobID: jobID, source: source, dir: dir, client: client, spec: spec,
+		jobID: jobID, source: source, dir: dir, client: client, spec: spec, sync: sync,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	if err := fo.resumeStaged(); err != nil {
@@ -174,7 +175,7 @@ func (fo *follower) resumeStaged() error {
 	fo.file = f
 	// Re-stamp the staging deposed: a crash mid-adoption must never bring
 	// this replica up as a writable primary the cluster never elected.
-	if err := serve.WriteEpochState(fo.dir, 0, true); err != nil {
+	if err := serve.WriteEpochState(fo.dir, 0, true, fo.sync); err != nil {
 		fo.file.Close()
 		return err
 	}
@@ -203,7 +204,7 @@ func (fo *follower) stageFresh() error {
 	// Stage the directory deposed: if the node crashes with the staging
 	// half-adopted, recovery must not bring the replica up as a writable
 	// primary the cluster never elected.
-	if err := serve.WriteEpochState(fo.dir, 0, true); err != nil {
+	if err := serve.WriteEpochState(fo.dir, 0, true, fo.sync); err != nil {
 		return fmt.Errorf("cluster: staging epoch: %w", err)
 	}
 	ap, err := serve.NewApplier(fo.spec)
@@ -405,7 +406,7 @@ func (fo *follower) resync(baseBytes int64) error {
 	if err := bf.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, basePath); err != nil {
+	if err := serve.RenameDurable(tmp, basePath, fo.sync); err != nil {
 		return err
 	}
 	sf, err := os.Open(basePath)

@@ -32,6 +32,7 @@ type Node struct {
 	srv     *serve.Server
 	mux     *http.ServeMux
 	client  *http.Client
+	sync    bool // cfg.SyncJournal: replica installs are made durable
 
 	mu        sync.Mutex
 	followers map[string]*follower
@@ -55,6 +56,7 @@ func NewNode(name, dataDir string, cfg serve.Config) (*Node, error) {
 		srv:     serve.NewServer(reg),
 		mux:     http.NewServeMux(),
 		client:  &http.Client{Timeout: 30 * time.Second},
+		sync:    cfg.SyncJournal,
 	}
 	n.mux.HandleFunc("POST /v1/replicate/{id}", n.handleReplicate)
 	n.mux.HandleFunc("GET /v1/replicate/{id}", n.handleReplicaStats)
@@ -120,7 +122,7 @@ func (n *Node) Follow(jobID, source string) error {
 	if _, owned := n.reg.Get(jobID); owned {
 		return fmt.Errorf("cluster: node %q already owns job %q", n.name, jobID)
 	}
-	fo, err := startFollower(jobID, source, n.replicaDir(jobID), n.client)
+	fo, err := startFollower(jobID, source, n.replicaDir(jobID), n.client, n.sync)
 	if err != nil {
 		return err
 	}
@@ -171,14 +173,14 @@ func (n *Node) PromoteReplica(jobID string, epoch, minBytes int64, fetchCheckpoi
 			return zero, err
 		}
 	}
-	if err := serve.WriteEpochState(fo.dir, epoch, false); err != nil {
+	if err := serve.WriteEpochState(fo.dir, epoch, false, n.sync); err != nil {
 		return zero, err
 	}
 	jobsDir := filepath.Join(n.dataDir, "jobs")
 	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
 		return zero, fmt.Errorf("cluster: preparing jobs dir: %w", err)
 	}
-	if err := os.Rename(fo.dir, filepath.Join(jobsDir, jobID)); err != nil {
+	if err := serve.RenameDurable(fo.dir, filepath.Join(jobsDir, jobID), n.sync); err != nil {
 		return zero, fmt.Errorf("cluster: installing promoted replica: %w", err)
 	}
 	job, err := n.reg.AdoptJob(jobID)

@@ -929,39 +929,6 @@ func (m *Model) CommunityReliability(mm int) float64 {
 // Fitted reports whether the model has been trained.
 func (m *Model) Fitted() bool { return m.fitted }
 
-// Retune changes the model's Parallelism and/or mini-batch size between
-// rounds (0 keeps a knob unchanged) — the runtime lever of the serve layer's
-// auto-tuner (DESIGN.md §13). Both knobs are replay-invisible: fit results
-// are bit-identical across Parallelism settings (reductions sum per-block
-// buffers in block order, whatever the shard count), publication does not
-// follow Parallelism at all (a Publisher runs on every core), and
-// PartialFit consumes whatever batch it is handed — mini-batch boundaries
-// live in the serving journal's fit markers, not in this config. The caller
-// must own the model (the fitter goroutine) and must not call this
-// mid-round. The retuned config is validated as a whole, so an
-// AnswerWindow < BatchSize combination is rejected rather than silently
-// adopted.
-func (m *Model) Retune(parallelism, batchSize int) error {
-	cfg := m.cfg
-	if parallelism > 0 {
-		cfg.Parallelism = parallelism
-	}
-	if batchSize > 0 {
-		cfg.BatchSize = batchSize
-	}
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	reshard := cfg.Parallelism != m.cfg.Parallelism
-	m.cfg = cfg
-	if reshard {
-		// The per-shard blend rows (freshK/oldK/freshT/oldT) are sized P×·;
-		// the sharded accumulators (mat.Sharded) self-resize on first use.
-		m.ws = m.newWorkScratch()
-	}
-	return nil
-}
-
 // Clone returns an independent copy of the model: the serving layer
 // snapshots online-learning trajectories on clones. Variational parameters
 // and per-item mutable state are deep-copied; the ingestion index

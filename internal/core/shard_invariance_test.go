@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"cpa/internal/answers"
 	"cpa/internal/datasets"
+	"cpa/internal/labelset"
 )
 
 // sameBits asserts two float slices are identical bit for bit.
@@ -117,5 +119,54 @@ func TestPublishBitIdenticalAcrossShardCounts(t *testing.T) {
 	}
 	if round < 20 || fulls < 4 {
 		t.Fatalf("stream too short: %d rounds, %d full", round, fulls)
+	}
+}
+
+// streamPredict feeds the dataset through PartialFit in batches of chop
+// answers, then finalizes and predicts: the serve-layer shape of training,
+// where the caller chops the stream and the model never re-chops.
+func streamPredict(t testing.TB, ds *answers.Dataset, cfg Config, chop int) ([]labelset.Set, *Model) {
+	t.Helper()
+	m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range ds.Batches(chop) {
+		if err := m.PartialFit(b.Answers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.FinalizeOnline()
+	pred, err := m.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred, m
+}
+
+// TestStreamBitIdenticalAcrossParallelism pins Parallelism as a pure speed
+// setting: a stream fitted at fixed P=1 and at fixed P=4 ends bit-identical
+// in its predictions, κ, ϕ, λ, ζ, ŷ and reliabilities, so a journal replays
+// to the served state whatever Parallelism the replaying model runs at. The
+// image stream has more items than one reduction block.
+func TestStreamBitIdenticalAcrossParallelism(t *testing.T) {
+	img, _, err := datasets.Load("image", 0.15, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = img.Shuffled(rand.New(rand.NewSource(17)))
+	for _, c := range []struct {
+		name string
+		ds   *answers.Dataset
+		chop int
+	}{{"ties", tieDataset(t), 8}, {"image", img, 64}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Seed: 17, Parallelism: 1, BatchSize: c.chop}
+			ref, refM := streamPredict(t, c.ds, cfg, c.chop)
+			cfg.Parallelism = 4
+			got, gotM := streamPredict(t, c.ds, cfg, c.chop)
+			samePredictions(t, "fixed P=1 vs fixed P=4", ref, got)
+			sameModelBits(t, "fixed P=1 vs fixed P=4", refM, gotM)
+		})
 	}
 }

@@ -1,74 +1,10 @@
 package loadgen
 
 import (
-	"sync"
 	"time"
+
+	"cpa/internal/obs"
 )
-
-// histBase is the upper bound of the first latency bucket; each subsequent
-// bucket doubles it, so 32 buckets span 50µs … ~30h.
-const (
-	histBase    = 50 * time.Microsecond
-	histBuckets = 32
-)
-
-// hist is a log₂-bucketed latency histogram. Safe for concurrent use (the
-// background readers record into one while the sender records into another,
-// but sharing is allowed).
-type hist struct {
-	mu     sync.Mutex
-	counts [histBuckets]int64
-	n      int64
-	sum    time.Duration
-	max    time.Duration
-}
-
-func (h *hist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	b := 0
-	for bound := histBase; b < histBuckets-1 && d > bound; bound *= 2 {
-		b++
-	}
-	h.mu.Lock()
-	h.counts[b]++
-	h.n++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	h.mu.Unlock()
-}
-
-// quantileLocked returns an estimate of the q-quantile (0 < q < 1) by
-// locating the covering bucket and taking its geometric interior point.
-// Callers hold h.mu.
-func (h *hist) quantileLocked(q float64) time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.n))
-	if target >= h.n {
-		target = h.n - 1
-	}
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.counts[b]
-		if seen > target {
-			upper := histBase << uint(b)
-			if upper > h.max {
-				upper = h.max
-			}
-			lower := time.Duration(0)
-			if b > 0 {
-				lower = histBase << uint(b-1)
-			}
-			return lower + (upper-lower)/2
-		}
-	}
-	return h.max
-}
 
 // HistSummary is the JSON-ready digest of a latency histogram.
 type HistSummary struct {
@@ -80,53 +16,33 @@ type HistSummary struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-func (h *hist) summary() HistSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.summaryLocked()
-}
-
-func (h *hist) summaryLocked() HistSummary {
-	s := HistSummary{Count: h.n, MaxMs: ms(h.max)}
-	if h.n > 0 {
-		s.MeanMs = ms(h.sum / time.Duration(h.n))
-		s.P50Ms = ms(h.quantileLocked(0.50))
-		s.P90Ms = ms(h.quantileLocked(0.90))
-		s.P99Ms = ms(h.quantileLocked(0.99))
+// summarize digests a latency histogram's state.
+func summarize(s obs.Snapshot) HistSummary {
+	out := HistSummary{Count: s.N, MaxMs: nsToMs(s.Max)}
+	if s.N > 0 {
+		out.MeanMs = nsToMs(s.Mean())
+		out.P50Ms = nsToMs(s.Quantile(0.50))
+		out.P90Ms = nsToMs(s.Quantile(0.90))
+		out.P99Ms = nsToMs(s.Quantile(0.99))
 	}
-	return s
+	return out
 }
 
-// resetSummary clears the histogram (phase boundaries) and returns the
-// summary of what it held, under one critical section so a concurrent
-// observe lands wholly in one phase or the next, never in neither.
-func (h *hist) resetSummary() HistSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.summaryLocked()
-	h.counts = [histBuckets]int64{}
-	h.n, h.sum, h.max = 0, 0, 0
-	return s
-}
+func nsToMs(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// summaryFromCounts digests externally collected log₂ bucket counters into
-// a HistSummary. The serve layer exports its publish-latency histogram in
-// the same bucket family (50µs base, doubling — serve.PublishStats), so a
-// phase report can diff the cumulative counters at the phase boundaries and
-// summarise the difference here. Buckets beyond histBuckets fold into the
-// last bucket; max is whatever the caller can attribute to the window.
+// summaryFromCounts digests externally collected latency bucket counters
+// into a HistSummary. The serve layer exports its histograms in the same
+// obs family (serve.PublishStats), so a phase report can diff the
+// cumulative counters at the phase boundaries and summarise the difference
+// here. Buckets beyond obs.Buckets fold into the last bucket; max is
+// whatever the caller can attribute to the window.
 func summaryFromCounts(counts []int64, n int64, sum, max time.Duration) HistSummary {
-	h := hist{n: n, sum: sum, max: max}
+	s := obs.Snapshot{Base: obs.LatencyBase, N: n, Sum: int64(sum), Max: int64(max)}
 	for b, c := range counts {
 		if c < 0 {
 			c = 0 // counter reset (chaos restart) mid-window
 		}
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
-		h.counts[b] += c
+		s.Counts[min(b, obs.Buckets-1)] += c
 	}
-	return h.summaryLocked()
+	return summarize(s)
 }

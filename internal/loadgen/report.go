@@ -86,15 +86,9 @@ type TenantReport struct {
 // cpabench -json (generated_at / seed / go_version / gomaxprocs) so both
 // artifacts live side by side in CI.
 //
-// A cpaload -json array can mix three row shapes: these scenario rows,
-// ClusterReport rows (cluster-* scenarios), and CapacityReport rows
-// (capacity-sweep), the latter discriminated by "kind": "capacity-sweep".
-// The latency-histogram fields are one family across all of them: the
-// per-phase ingest_latency / read_latency / publish_latency summaries here
-// and the per-rung ingest_latency of a capacity row are the same
-// HistSummary shape, and a capacity row's usl_fit (gamma / alpha / beta /
-// knee / residual per swept dimension) plus its auto_tune A/B block are
-// the capacity-side additions to the schema — see CapacityReport.
+// A cpaload -json array can mix two row shapes: these scenario rows and
+// ClusterReport rows (cluster-* scenarios). The per-phase ingest_latency /
+// read_latency / publish_latency summaries share one HistSummary shape.
 type Report struct {
 	GeneratedAt string  `json:"generated_at"`
 	Scenario    string  `json:"scenario"`

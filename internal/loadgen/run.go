@@ -18,6 +18,7 @@ import (
 	"cpa/internal/core"
 	"cpa/internal/labelset"
 	"cpa/internal/metrics"
+	"cpa/internal/obs"
 	"cpa/internal/serve"
 )
 
@@ -163,8 +164,8 @@ type runner struct {
 	srv        *httptest.Server
 	baseURL    atomic.Value // string; swapped across chaos restarts
 
-	ingest hist
-	reads  hist
+	ingest obs.Hist
+	reads  obs.Hist
 	// pubMark is the cumulative publish-latency baseline at the current
 	// phase's start, summed over tenants (diffed at the phase boundary).
 	pubMark pubTotals
@@ -353,8 +354,8 @@ func (r *runner) runPhase(pi int) error {
 	if ps.DurationSec > 0 {
 		ps.AnswersPerSec = float64(sent) / ps.DurationSec
 	}
-	ps.Ingest = r.ingest.resetSummary()
-	ps.Reads = r.reads.resetSummary()
+	ps.Ingest = summarize(r.ingest.Reset())
+	ps.Reads = summarize(r.reads.Reset())
 	ps.Publish = r.collectPublishTotals().since(r.pubMark)
 	r.report.Phases = append(r.report.Phases, ps)
 	r.cfg.Logf("phase %q: %d answers, %d requests, %.2fs", phase, sent, ps.Requests, ps.DurationSec)
@@ -434,7 +435,7 @@ func (r *runner) sendChunk(ts *tenantState, chunk []answers.Answer) error {
 		resp.Body.Close()
 		switch status {
 		case http.StatusAccepted:
-			r.ingest.observe(lat)
+			r.ingest.Observe(int64(lat))
 			r.requests.Add(1)
 			ts.sends++
 			return nil
@@ -567,7 +568,7 @@ func (r *runner) sample(ts *tenantState) error {
 		} else if status != http.StatusOK {
 			return fmt.Errorf("hot read of item %d: status %d", item, status)
 		}
-		r.reads.observe(time.Since(start))
+		r.reads.Observe(int64(time.Since(start)))
 	}
 	return nil
 }
@@ -836,7 +837,7 @@ func (r *runner) startReaders() {
 				status := resp.StatusCode
 				resp.Body.Close()
 				if status == http.StatusOK && decodeErr == nil {
-					r.reads.observe(time.Since(start))
+					r.reads.Observe(int64(time.Since(start)))
 					if head.Round < lastRound || head.Answers < lastAnswers {
 						r.monoViol.Add(1)
 					}

@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"cpa/internal/answers"
+	"cpa/internal/core"
+	"cpa/internal/datasets"
+	"cpa/internal/obs"
 	"cpa/internal/serve"
 )
 
@@ -273,13 +276,16 @@ func TestCheckReplayDetectsTamperedSnapshot(t *testing.T) {
 	}
 }
 
-// TestHistQuantiles sanity-checks the latency histogram digest.
+// TestHistQuantiles sanity-checks the latency histogram digest, and that a
+// serve job's exported publish and append histograms digest through the
+// same summary: they share obs.Hist's buckets, so bucket counts add up to
+// the count and every quantile lies inside the observed range.
 func TestHistQuantiles(t *testing.T) {
-	var h hist
+	var h obs.Hist
 	for i := 1; i <= 1000; i++ {
-		h.observe(time.Duration(i) * time.Millisecond)
+		h.Observe(int64(time.Duration(i) * time.Millisecond))
 	}
-	s := h.summary()
+	s := summarize(h.Snapshot())
 	if s.Count != 1000 {
 		t.Fatalf("count %d", s.Count)
 	}
@@ -295,11 +301,63 @@ func TestHistQuantiles(t *testing.T) {
 	if s.MeanMs < 400 || s.MeanMs > 600 {
 		t.Errorf("mean %.1fms, want ~500", s.MeanMs)
 	}
-	if got := h.resetSummary(); got.Count != 1000 {
-		t.Errorf("resetSummary returned count %d", got.Count)
+	snap := h.Snapshot()
+	if got := summaryFromCounts(snap.Counts[:], snap.N, time.Duration(snap.Sum), time.Duration(snap.Max)); got != s {
+		t.Errorf("digest of exported counters %+v, want %+v", got, s)
 	}
-	if after := h.summary(); after.Count != 0 || after.MaxMs != 0 {
+	if got := summarize(h.Reset()); got.Count != 1000 {
+		t.Errorf("Reset returned count %d", got.Count)
+	}
+	if after := summarize(h.Snapshot()); after.Count != 0 || after.MaxMs != 0 {
 		t.Errorf("histogram not cleared: %+v", after)
+	}
+
+	ds, _, err := datasets.Load("image", 0.04, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := serve.Open(serve.Config{Dir: t.TempDir(), BatchWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	job, err := reg.Create(serve.JobSpec{ID: "hist", Items: ds.NumItems, Workers: ds.NumWorkers,
+		Labels: ds.NumLabels, Model: core.Config{Seed: 3, BatchSize: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ds.Answers()
+	for start := 0; start < len(all); start += 16 {
+		if err := job.Ingest(all[start:min(start+16, len(all))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for job.Stats().FittedAnswers < int64(len(all)) {
+		if time.Now().After(deadline) {
+			t.Fatal("job never fitted its stream")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := job.Stats()
+	for name, p := range map[string]serve.PublishStats{"publish": st.Publish, "appends": st.Ingest.Appends} {
+		if len(p.Log2Buckets) != obs.Buckets {
+			t.Fatalf("%s: %d buckets exported, want %d", name, len(p.Log2Buckets), obs.Buckets)
+		}
+		var total int64
+		for _, c := range p.Log2Buckets {
+			total += c
+		}
+		got := summaryFromCounts(p.Log2Buckets, p.Count, time.Duration(p.SumNs), time.Duration(p.MaxNs))
+		if p.Count == 0 || total != p.Count || got.Count != p.Count {
+			t.Fatalf("%s: %d samples, buckets hold %d, digest counts %d", name, p.Count, total, got.Count)
+		}
+		if got.MaxMs != nsToMs(p.MaxNs) || got.MeanMs != nsToMs(p.SumNs/p.Count) {
+			t.Errorf("%s: digest %+v disagrees with the exported max %dns and sum %dns", name, got, p.MaxNs, p.SumNs)
+		}
+		if got.P50Ms > got.P99Ms || got.P99Ms > got.MaxMs {
+			t.Errorf("%s: quantiles outside the observed range: %+v", name, got)
+		}
 	}
 }
 

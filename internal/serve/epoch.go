@@ -77,7 +77,7 @@ func (j *Job) setEpoch(next epochState) error {
 			j.epoch = prev
 			return err
 		}
-		if err := writeFileAtomic(filepath.Join(j.dir, epochFile), raw); err != nil {
+		if err := writeFileAtomic(filepath.Join(j.dir, epochFile), raw, j.sync); err != nil {
 			j.epoch = prev
 			return fmt.Errorf("serve: persisting epoch: %w", err)
 		}
@@ -103,13 +103,14 @@ func (j *Job) checkEpochLocked(stamp int64) error {
 // journal for adoption writes the promotion epoch before handing the
 // directory to Registry.AdoptJob, so the adopted job comes up owning the
 // write path at the right epoch (or stays deposed if the promotion never
-// completes).
-func WriteEpochState(dir string, epoch int64, deposed bool) error {
+// completes). sync makes the write durable against power loss, as under
+// Config.SyncJournal.
+func WriteEpochState(dir string, epoch int64, deposed, sync bool) error {
 	raw, err := json.Marshal(epochState{Epoch: epoch, Deposed: deposed})
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, epochFile), raw)
+	return writeFileAtomic(filepath.Join(dir, epochFile), raw, sync)
 }
 
 // loadEpochState reads a job directory's persisted epoch record. A missing

@@ -19,10 +19,11 @@ import (
 )
 
 // TestJournalByteIdentityWithStdlib pins the new writer to the old one: a
-// stream of answers, fit markers, a restart re-anchor and a tune annotation
-// appended through the group-commit pipeline must leave on disk exactly the
+// stream of answers, fit markers and a restart re-anchor appended through
+// the group-commit pipeline must leave on disk exactly the
 // json.Marshal-composed bytes the pre-group-commit writer produced, with
-// offsets matching the file.
+// offsets matching the file. A tune line as older daemons wrote it rides
+// along verbatim and must read back as a replay-inert record.
 func TestJournalByteIdentityWithStdlib(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	jr, err := openJournal(path, true, 0, JournalBase{}, 0)
@@ -59,11 +60,7 @@ func TestJournalByteIdentityWithStdlib(t *testing.T) {
 		appendStd(journalLine{Op: opAnswer, Ans: &ja})
 	}
 
-	for _, line := range []journalLine{
-		fitLine(2, true),
-		fitLine(1, false),
-		{Op: opTune, Par: 2, Batch: 64},
-	} {
+	for _, line := range []journalLine{fitLine(2, true), fitLine(1, false)} {
 		r, err := jr.reserveLine(line)
 		if err != nil {
 			t.Fatal(err)
@@ -73,6 +70,17 @@ func TestJournalByteIdentityWithStdlib(t *testing.T) {
 		}
 		appendStd(line)
 	}
+	tune := []byte(`{"op":"tune","par":2,"bs":64}` + "\n")
+	req = getCommitReq()
+	req.buf = append(req.buf[:0], tune...)
+	req.nrecs = 1
+	if err := jr.reserve(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.await(req); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, tune...)
 	if err := jr.appendRestart(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +103,16 @@ func TestJournalByteIdentityWithStdlib(t *testing.T) {
 	if wantRecs := int64(len(batch) + 4); recs != wantRecs {
 		t.Fatalf("durable records %d, want %d", recs, wantRecs)
 	}
+	var entries []JournalEntry
+	if err := ReadJournal(path, func(e JournalEntry) error {
+		entries = append(entries, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(batch) + 3; len(entries) != want {
+		t.Fatalf("read back %d entries, want %d: the tune line must be replay-inert", len(entries), want)
+	}
 }
 
 // TestGroupCommitCoalesces drives the cohort mechanics deterministically: a
@@ -107,8 +125,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hist ingestHist
-	jr.stats = &hist
+	hist := newIngestHist()
+	jr.stats = hist
 
 	var reqs []*commitReq
 	var want []byte
@@ -230,7 +248,9 @@ func TestConcurrentIngestJournalConsistent(t *testing.T) {
 	if got := job.ingested.Load(); got != total {
 		t.Fatalf("ingested %d answers, want %d", got, total)
 	}
-	waitFitted(t, job, total)
+	// The fitted counter moves before the round's fit marker is durable;
+	// the publication waits for the marker, so wait for it instead.
+	waitSnapshot(t, job, int(total))
 	st := job.Stats()
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)

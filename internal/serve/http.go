@@ -28,9 +28,9 @@ import (
 //	GET    /v1/jobs/{id}/consensus    latest consensus snapshot
 //	GET    /v1/jobs/{id}/items/{item} one item's consensus
 //	GET    /healthz                    liveness
-//	GET    /statsz                     queue depths, fit rounds, snapshot ages,
-//	                                   auto-tune fits (?workers=1 adds per-worker
-//	                                   reliability trajectories; also on GET /v1/jobs/{id})
+//	GET    /statsz                     queue depths, fit rounds, snapshot ages
+//	                                   (?workers=1 adds per-worker reliability
+//	                                   trajectories; also on GET /v1/jobs/{id})
 //
 // Cluster-facing endpoints (consumed by internal/cluster, harmless to
 // expose on a single node):

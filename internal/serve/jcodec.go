@@ -155,14 +155,6 @@ func appendJournalLine(dst []byte, line journalLine) []byte {
 		dst = appendInt(dst, line.Base.Covered)
 		dst = append(dst, '}')
 	}
-	if line.Par != 0 {
-		dst = append(dst, `,"par":`...)
-		dst = appendInt(dst, int64(line.Par))
-	}
-	if line.Batch != 0 {
-		dst = append(dst, `,"bs":`...)
-		dst = appendInt(dst, int64(line.Batch))
-	}
 	return append(dst, '}')
 }
 
@@ -484,24 +476,6 @@ func decodeJournalLineFast(raw []byte, arena *labelset.Arena) (journalLine, bool
 			return journalLine{}, false
 		}
 		return journalLine{Op: op, Base: &b}, true
-	case opTune:
-		i, ok = jhasPrefix(raw, i, `,"par":`)
-		if !ok {
-			return journalLine{}, false
-		}
-		par, i, ok := jparseInt(raw, i)
-		if !ok || par == 0 {
-			return journalLine{}, false
-		}
-		i, ok = jhasPrefix(raw, i, `,"bs":`)
-		if !ok {
-			return journalLine{}, false
-		}
-		bs, i, ok := jparseInt(raw, i)
-		if !ok || bs == 0 || i+1 != len(raw) || raw[i] != '}' {
-			return journalLine{}, false
-		}
-		return journalLine{Op: op, Par: int(par), Batch: int(bs)}, true
 	}
 	return journalLine{}, false
 }

@@ -44,8 +44,6 @@ func codecLines() []journalLine {
 		{Op: opBase, Base: &JournalBase{}},
 		{Op: opBase, Base: &JournalBase{Bytes: 1 << 40, Recs: 12345, Ans: 12000, Fits: 345, Covered: 11990}},
 		{Op: opBase, Base: &JournalBase{Bytes: -1, Recs: math.MinInt64, Ans: math.MaxInt64, Fits: -7, Covered: 0}},
-		{Op: opTune, Par: 4, Batch: 512},
-		{Op: opTune, Par: -1, Batch: math.MaxInt64},
 		{Op: ""},
 		{Op: "with\"quote\\and\\backslash"},
 		{Op: "html<>&chars"},
@@ -56,13 +54,13 @@ func codecLines() []journalLine {
 		{Op: "mix<\u2028\"\xff>\t&"},
 		// Cross-field combinations json.Marshal happily emits even though the
 		// journal writer never does.
-		{Op: opFit, N: 2, Mode: pubModeFull, Par: 8, Batch: 256},
-		{Op: "all", Ans: jsonAnswerPtr(1, 2, 3), N: 4, Mode: "x", Base: &JournalBase{Bytes: 5}, Par: 6, Batch: 7},
+		{Op: opFit, N: 2, Mode: pubModeFull, Base: &JournalBase{Fits: 8}},
+		{Op: "all", Ans: jsonAnswerPtr(1, 2, 3), N: 4, Mode: "x", Base: &JournalBase{Bytes: 5}},
 	}
 }
 
 func journalLinesEqual(a, b journalLine) bool {
-	if a.Op != b.Op || a.N != b.N || a.Mode != b.Mode || a.Par != b.Par || a.Batch != b.Batch {
+	if a.Op != b.Op || a.N != b.N || a.Mode != b.Mode {
 		return false
 	}
 	if (a.Ans == nil) != (b.Ans == nil) {
@@ -159,7 +157,6 @@ func TestJournalLineDecodeEquivalence(t *testing.T) {
 		`{"op":"\u0061ns","a":{"i":1,"u":2,"x":[0]}}`,
 		`{"op":"ans","a":{"i":1,"u":2,"x":null}}`,
 		`{"op":"ans","a":null}`,
-		`{"op":"tune","par":0,"bs":0}`,
 		`{"op":"fit","n":0}`,
 		`{"op":"fit","n":-1}`,
 		`{"op":"fit","n":1,"n":2}`,
@@ -182,8 +179,42 @@ func TestJournalLineDecodeEquivalence(t *testing.T) {
 	} {
 		raws = append(raws, []byte(s))
 	}
+	for _, s := range legacyTuneLines {
+		raws = append(raws, []byte(s))
+	}
 	for _, raw := range raws {
 		decodeEquivalent(t, raw)
+	}
+}
+
+// legacyTuneLines are tune records as older daemons journaled them between
+// fit rounds, plus the zero-valued edge.
+var legacyTuneLines = []string{
+	`{"op":"tune","par":4,"bs":512}`,
+	`{"op":"tune","par":-1,"bs":9223372036854775807}`,
+	`{"op":"tune","par":0,"bs":0}`,
+}
+
+// TestLegacyTuneLinesAreInert pins downgrade tolerance for old journals: a
+// tune line, and every torn prefix of one, decodes exactly as
+// json.Unmarshal does, and a whole line becomes a bare op that replays as
+// nothing.
+func TestLegacyTuneLinesAreInert(t *testing.T) {
+	for _, s := range legacyTuneLines {
+		raw := []byte(s)
+		for cut := 0; cut <= len(raw); cut++ {
+			decodeEquivalent(t, raw[:cut])
+		}
+		line, err := decodeJournalLine(raw, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if !journalLinesEqual(line, journalLine{Op: "tune"}) {
+			t.Fatalf("%s decoded to %+v, want a bare tune op", s, line)
+		}
+		if e := line.entry(nil); e != (JournalEntry{}) {
+			t.Fatalf("%s replays as %+v, want an inert entry", s, e)
+		}
 	}
 }
 
@@ -264,6 +295,9 @@ func FuzzJournalLineCodec(f *testing.F) {
 	f.Add([]byte(`{"op":"fit","n":3,"pub":"inc"}`))
 	f.Add([]byte(`{"op":"ans","a":{"i":1,"u":2,"x":[0,64,128]}}`))
 	f.Add([]byte(`{"op":"base","base":{"b":1,"r":2,"a":3,"f":4,"c":5}}`))
+	for _, s := range legacyTuneLines {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var want journalLine
 		werr := json.Unmarshal(raw, &want)

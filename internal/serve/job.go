@@ -14,6 +14,7 @@ import (
 
 	"cpa/internal/answers"
 	"cpa/internal/core"
+	"cpa/internal/obs"
 )
 
 // Job is one tenant's consensus computation: a core.Model advanced by a
@@ -59,16 +60,15 @@ type Job struct {
 
 	snap     atomic.Pointer[Snapshot]
 	snapTime atomic.Int64 // unixnano of the last publication
-	pubHist  publishHist  // publish-latency histogram (log₂ buckets)
+	pubHist  obs.Hist     // publish-latency histogram (log₂ buckets)
 	// pubFullHist is pubHist restricted to full publications.
-	pubFullHist publishHist
+	pubFullHist obs.Hist
 	// ingestHist aggregates group-commit observability (cohort sizes,
 	// append→durable latency); the journal's commit leader feeds it.
-	ingestHist ingestHist
-	// tuner is the optional USL capacity controller (tuner.go); traj the
-	// optional per-worker reliability trajectory sampler. Both fitter-fed.
-	tuner *tuner
-	traj  *workerTraj
+	ingestHist *ingestHist
+	// traj is the optional per-worker reliability trajectory sampler
+	// (traj.go), fitter-fed.
+	traj *workerTraj
 
 	ingested atomic.Int64 // answers accepted (journaled + queued)
 	fitted   atomic.Int64 // answers consumed by PartialFit
@@ -80,6 +80,9 @@ type Job struct {
 	batchWait   time.Duration
 	truncate    bool
 	truncateMin int64
+	// sync is Config.SyncJournal: checkpoint and anchor renames are made
+	// durable against power loss too.
+	sync bool
 
 	// replayed counts the fit rounds recovery replayed past the loaded
 	// checkpoint. They seed the fitter's checkpoint cadence, so a job
@@ -99,14 +102,13 @@ func newJob(spec JobSpec, model *core.Model, dir string, cfg Config) *Job {
 		model:       model,
 		pub:         core.NewPublisher(model),
 		wake:        make(chan struct{}, 1),
+		ingestHist:  newIngestHist(),
 		queueLimit:  cfg.QueueLimit,
 		saveEvery:   cfg.SaveEvery,
 		batchWait:   cfg.BatchWait,
 		truncate:    cfg.TruncateJournal,
 		truncateMin: cfg.TruncateMin,
-	}
-	if cfg.AutoTune {
-		j.tuner = newTuner(cfg, model.Config())
+		sync:        cfg.SyncJournal,
 	}
 	if spec.Workers <= trajMaxWorkers {
 		j.traj = newWorkerTraj(spec.Workers)
@@ -329,17 +331,14 @@ func (j *Job) Stats() JobStats {
 		SnapshotAgeSec:       time.Since(time.Unix(0, j.snapTime.Load())).Seconds(),
 		EffectiveCommunities: snap.EffectiveCommunities,
 		EffectiveClusters:    snap.EffectiveClusters,
-		Publish:              j.pubHist.summary(),
-		PublishFull:          j.pubFullHist.summary(),
+		Publish:              publishStats(j.pubHist.Snapshot()),
+		PublishFull:          publishStats(j.pubFullHist.Snapshot()),
 		Ingest:               j.ingestHist.summary(),
 		JournalBytes:         jb,
 		JournalRecords:       jr,
 		JournalFileBytes:     jfb,
 		Epoch:                epoch.Epoch,
 		Deposed:              epoch.Deposed,
-	}
-	if j.tuner != nil {
-		st.AutoTune = j.tuner.snapshot()
 	}
 	if msg := j.failure.Load(); msg != nil {
 		st.Error = *msg
@@ -503,25 +502,16 @@ type JobStats struct {
 	// (409) on a deposed replica or under a mismatched epoch stamp.
 	Epoch   int64 `json:"epoch"`
 	Deposed bool  `json:"deposed,omitempty"`
-	// AutoTune is the live capacity-tuner state (per-knob USL fit, knee, and
-	// current setting), present only when the job runs with Config.AutoTune.
-	AutoTune *AutoTuneStats `json:"auto_tune,omitempty"`
 	// WorkerTraj carries per-worker reliability trajectories; populated only
 	// on explicit request (/statsz?workers=1), never on plain stats polls.
 	WorkerTraj []WorkerTrajectory `json:"worker_trajectories,omitempty"`
 	Error      string             `json:"error,omitempty"`
 }
 
-// publishBuckets is the log₂ bucket count of the publish-latency histogram;
-// publishBase the upper bound of the first bucket. The family matches
-// loadgen's latency histograms (50µs base, doubling), so soak reports can
-// diff the exported counters phase over phase.
-const (
-	publishBuckets = 32
-	publishBase    = 50 * time.Microsecond
-)
-
-// PublishStats is the JSON-ready cumulative publish-latency histogram.
+// PublishStats is the JSON-ready cumulative latency histogram of the
+// obs.Hist latency family (50µs base, doubling), the family loadgen's
+// reports use, so soak reports can diff the exported counters phase over
+// phase.
 type PublishStats struct {
 	Count int64 `json:"count"`
 	SumNs int64 `json:"sum_ns"`
@@ -531,51 +521,17 @@ type PublishStats struct {
 	Log2Buckets []int64 `json:"log2_buckets"`
 }
 
-// publishHist accumulates publish latencies. The fitter is the only writer;
-// Stats readers are concurrent, so a small mutex guards the counters (one
-// lock per round and per /statsz hit — nowhere near a hot path).
-type publishHist struct {
-	mu     sync.Mutex
-	counts [publishBuckets]int64
-	n      int64
-	sumNs  int64
-	maxNs  int64
+func publishStats(s obs.Snapshot) PublishStats {
+	return PublishStats{Count: s.N, SumNs: s.Sum, MaxNs: s.Max, Log2Buckets: s.Log2(obs.Buckets)}
 }
 
-func (h *publishHist) observe(d time.Duration) {
-	b := 0
-	for bound := publishBase; b < publishBuckets-1 && d > bound; bound *= 2 {
-		b++
-	}
-	h.mu.Lock()
-	h.counts[b]++
-	h.n++
-	h.sumNs += int64(d)
-	if int64(d) > h.maxNs {
-		h.maxNs = int64(d)
-	}
-	h.mu.Unlock()
-}
-
-func (h *publishHist) summary() PublishStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return PublishStats{
-		Count:       h.n,
-		SumNs:       h.sumNs,
-		MaxNs:       h.maxNs,
-		Log2Buckets: append([]int64(nil), h.counts[:]...),
-	}
-}
-
-// cohortBuckets is the log₂ bucket count of the cohort-size histogram;
-// 2^15 records in one commit is far past any realistic coalescing run.
+// cohortBuckets is the number of cohort-size buckets exported; 2^15
+// records in one commit is far past any realistic coalescing run.
 const cohortBuckets = 16
 
 // IngestStats is the JSON-ready group-commit observability of one job:
 // whether appends coalesce (cohort sizes) and what durability costs each
-// caller (append→durable latency, same 50µs log₂ family as PublishStats,
-// so soak reports can diff them phase over phase).
+// caller (append→durable latency, in PublishStats' latency family).
 type IngestStats struct {
 	// Appends is the append→durable commit latency histogram: one sample
 	// per reserved record group, measured from sequencing to release.
@@ -591,66 +547,37 @@ type IngestStats struct {
 	CohortLog2Buckets []int64 `json:"cohort_log2_buckets"`
 }
 
-// ingestHist accumulates group-commit statistics. The journal's commit
-// leader is the only writer and observes once per cohort, outside every
-// journal and job lock; /statsz readers are concurrent.
+// ingestHist accumulates group-commit statistics: the append→durable
+// latency of each reserved group and the record count of each cohort. The
+// journal's commit leader is the only writer and observes once per cohort,
+// outside every journal and job lock; /statsz readers are concurrent.
 type ingestHist struct {
-	mu      sync.Mutex
-	appends [publishBuckets]int64
-	n       int64
-	sumNs   int64
-	maxNs   int64
-	cohorts [cohortBuckets]int64
-	ncoh    int64
-	recs    int64
-	maxRecs int64
+	appends obs.Hist
+	cohorts obs.Hist // values are record counts: Base 1
+}
+
+func newIngestHist() *ingestHist {
+	return &ingestHist{cohorts: obs.Hist{Base: 1}}
 }
 
 // observe records one committed cohort: its total record count and, per
 // reserved group in it, the sequencing→durable latency.
 func (h *ingestHist) observe(cohort []*commitReq, nrecs int64) {
 	now := time.Now()
-	cb := 0
-	for cb < cohortBuckets-1 && nrecs > int64(1)<<uint(cb) {
-		cb++
-	}
-	h.mu.Lock()
-	h.cohorts[cb]++
-	h.ncoh++
-	h.recs += nrecs
-	if nrecs > h.maxRecs {
-		h.maxRecs = nrecs
-	}
+	h.cohorts.Observe(nrecs)
 	for _, r := range cohort {
-		d := now.Sub(r.t0)
-		b := 0
-		for bound := publishBase; b < publishBuckets-1 && d > bound; bound *= 2 {
-			b++
-		}
-		h.appends[b]++
-		h.n++
-		h.sumNs += int64(d)
-		if int64(d) > h.maxNs {
-			h.maxNs = int64(d)
-		}
+		h.appends.Observe(int64(now.Sub(r.t0)))
 	}
-	h.mu.Unlock()
 }
 
 func (h *ingestHist) summary() IngestStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	c := h.cohorts.Snapshot()
 	return IngestStats{
-		Appends: PublishStats{
-			Count:       h.n,
-			SumNs:       h.sumNs,
-			MaxNs:       h.maxNs,
-			Log2Buckets: append([]int64(nil), h.appends[:]...),
-		},
-		Cohorts:           h.ncoh,
-		CohortRecords:     h.recs,
-		MaxCohortRecords:  h.maxRecs,
-		CohortLog2Buckets: append([]int64(nil), h.cohorts[:]...),
+		Appends:           publishStats(h.appends.Snapshot()),
+		Cohorts:           c.N,
+		CohortRecords:     c.Sum,
+		MaxCohortRecords:  c.Max,
+		CohortLog2Buckets: c.Log2(cohortBuckets),
 	}
 }
 
@@ -733,10 +660,7 @@ func (j *Job) run() {
 		if !ok {
 			return
 		}
-		n := len(*bp)
-		start := time.Now()
 		err := j.fitGuarded(*bp, &roundsSinceSave)
-		dur := time.Since(start)
 		// PartialFit copies what it keeps (label sets are flattened into the
 		// model's own storage), so the batch recycles as soon as the round
 		// is done. Clear the entries so pooled memory doesn't pin label
@@ -748,10 +672,6 @@ func (j *Job) run() {
 			msg := err.Error()
 			j.failure.Store(&msg)
 			return
-		}
-		if j.tuner != nil {
-			j.tuner.observeRound(n, dur)
-			j.applyTune()
 		}
 	}
 }
@@ -776,34 +696,6 @@ func (j *Job) fitGuarded(batch []answers.Answer, roundsSinceSave *int) (err erro
 		fitRoundHook(j)
 	}
 	return j.fitBatch(batch, roundsSinceSave)
-}
-
-// applyTune lets the tuner close a measurement window and applies any
-// adjustment between rounds — the only place the model's knobs ever move.
-// The move lands in the journal as a tune annotation: replay-inert
-// (Parallelism is bit-invisible and batch boundaries are journaled per fit
-// marker), it exists so operators and followers can see the trajectory. A
-// failed annotation append is ignored — a broken journal already fails the
-// job loudly on its next ingest or fit marker.
-func (j *Job) applyTune() {
-	par, batch := j.tuner.maybeTune(j.model.Config())
-	if par == 0 && batch == 0 {
-		return
-	}
-	if err := j.model.Retune(par, batch); err != nil {
-		return
-	}
-	cfg := j.model.Config()
-	j.mu.Lock()
-	jr := j.journal
-	var req *commitReq
-	if jr != nil {
-		req, _ = jr.reserveLine(journalLine{Op: opTune, Par: cfg.Parallelism, Batch: cfg.BatchSize})
-	}
-	j.mu.Unlock()
-	if req != nil {
-		_ = jr.await(req)
-	}
 }
 
 // nextBatch blocks until a mini-batch is available: a full BatchSize, or
@@ -947,7 +839,7 @@ func (j *Job) truncateJournal() error {
 		return nil
 	}
 	anchor := func() error {
-		return copyFileAtomic(filepath.Join(j.dir, modelFile), filepath.Join(j.dir, baseFile))
+		return copyFileAtomic(filepath.Join(j.dir, modelFile), filepath.Join(j.dir, baseFile), j.sync)
 	}
 	if _, err := j.journal.truncate(filepath.Join(j.dir, journalFile), coveredAns, coveredFits, j.truncateMin, anchor); err != nil {
 		return fmt.Errorf("serve: truncating journal: %w", err)
@@ -971,9 +863,9 @@ func (j *Job) publish(full bool) error {
 	j.snap.Store(nextSnapshot(j.spec.ID, j.snap.Load(), view, dirty, now))
 	j.snapTime.Store(now.UnixNano())
 	d := time.Since(start)
-	j.pubHist.observe(d)
+	j.pubHist.Observe(int64(d))
 	if dirty == nil {
-		j.pubFullHist.observe(d)
+		j.pubFullHist.Observe(int64(d))
 	}
 	if j.traj != nil {
 		j.traj.maybeRecord(j.rounds.Load(), j.model)
@@ -1031,15 +923,16 @@ func (j *Job) saveModel() error {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: checkpointing model: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, modelFile)); err != nil {
+	if err := RenameDurable(tmp, filepath.Join(j.dir, modelFile), j.sync); err != nil {
 		return fmt.Errorf("serve: checkpointing model: %w", err)
 	}
 	return nil
 }
 
 // copyFileAtomic copies src to dst through a temp file, fsyncing before the
-// rename so a crash can never leave a torn dst.
-func copyFileAtomic(src, dst string) error {
+// rename so a crash can never leave a torn dst; sync makes the rename
+// durable (RenameDurable).
+func copyFileAtomic(src, dst string, sync bool) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
@@ -1061,5 +954,5 @@ func copyFileAtomic(src, dst string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, dst)
+	return RenameDurable(tmp, dst, sync)
 }

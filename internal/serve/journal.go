@@ -19,13 +19,6 @@ const (
 	opFit     = "fit"     // the fitter consumed the next N pending answers
 	opRestart = "restart" // the job was recovered and republished from cold
 	opBase    = "base"    // truncation header: the dropped prefix's coordinates
-	// opTune annotates an auto-tune adjustment: the settings the capacity
-	// tuner steered the job to between two fit rounds. It is replay-inert by
-	// construction — Parallelism is bit-invisible to the posterior and batch
-	// boundaries are recorded per fit marker — so every consumer (recovery,
-	// offline replay, followers) skips it like any unknown op; it exists so
-	// the tuning trajectory is observable in the durable record.
-	opTune = "tune"
 )
 
 // Fit-marker publish modes. Snapshot publication is part of the journaled
@@ -57,9 +50,6 @@ type journalLine struct {
 	N    int                 `json:"n,omitempty"`
 	Mode string              `json:"pub,omitempty"`
 	Base *JournalBase        `json:"base,omitempty"`
-	// Par/Batch carry a tune annotation's new settings (op "tune" only).
-	Par   int `json:"par,omitempty"`
-	Batch int `json:"bs,omitempty"`
 }
 
 // fitLine builds a fit marker with its publish mode.
@@ -228,8 +218,7 @@ func (j *journal) reserve(req *commitReq) error {
 }
 
 // reserveLine encodes one control record (fit marker, restart re-anchor,
-// tune annotation, truncation header test lines, …) into a pooled request
-// and sequences it.
+// truncation header test lines, …) into a pooled request and sequences it.
 func (j *journal) reserveLine(line journalLine) (*commitReq, error) {
 	req := getCommitReq()
 	req.buf = append(appendJournalLine(req.buf[:0], line), '\n')
@@ -556,7 +545,7 @@ scan:
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("serve: truncate: writing compacted journal: %w", err)
 	}
-	if err := os.Rename(tmpPath, path); err != nil {
+	if err := RenameDurable(tmpPath, path, j.sync); err != nil {
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("serve: truncate: %w", err)
 	}
@@ -705,9 +694,11 @@ func (line journalLine) entry(slot *answers.Answer) JournalEntry {
 	case opBase:
 		return JournalEntry{Base: line.Base}
 	}
-	// Auto-tune annotations and unknown ops are replay-inert: journals
-	// written by tuned jobs replay identically on consumers that predate
-	// (or ignore) tuning.
+	// Unknown ops are replay-inert. Older daemons journaled
+	// {"op":"tune","par":P,"bs":B} lines between fit rounds; they decode
+	// through encoding/json to a bare op and replay as nothing, which is
+	// what they always meant: fit markers record every batch boundary, and
+	// Parallelism never changes a posterior bit.
 	return JournalEntry{}
 }
 

@@ -103,7 +103,7 @@ func (r *Registry) Create(spec JobSpec) (*Job, error) {
 			os.RemoveAll(dir)
 			return nil, err
 		}
-		if err := writeFileAtomic(filepath.Join(dir, specFile), raw); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, specFile), raw, r.cfg.SyncJournal); err != nil {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("serve: writing job spec: %w", err)
 		}
@@ -115,7 +115,7 @@ func (r *Registry) Create(spec JobSpec) (*Job, error) {
 	j := newJob(spec, model, dir, r.cfg)
 	j.journal = jr
 	if jr != nil {
-		jr.stats = &j.ingestHist
+		jr.stats = j.ingestHist
 	}
 	j.start()
 	r.jobs[spec.ID] = j
@@ -267,13 +267,14 @@ func hasJobState(dir string) (bool, error) {
 }
 
 // writeFileAtomic lands a file via tmp + rename so a crash mid-write never
-// leaves a torn spec for recovery to trip over.
-func writeFileAtomic(path string, data []byte) error {
+// leaves a torn spec for recovery to trip over; sync makes the rename
+// durable (RenameDurable).
+func writeFileAtomic(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := RenameDurable(tmp, path, sync); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -390,7 +391,7 @@ func recoverJob(dir string, cfg Config) (*Job, error) {
 	if j.journal, err = openJournal(journalPath, cfg.SyncJournal, recs, base, hdrLen); err != nil {
 		return nil, err
 	}
-	j.journal.stats = &j.ingestHist
+	j.journal.stats = j.ingestHist
 	if rp.model.Fitted() {
 		// Re-anchor: the recovered publisher starts cold, so the first
 		// publication is a full one. The restart marker records that for

@@ -24,7 +24,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"cpa/internal/core"
@@ -87,23 +86,6 @@ type Config struct {
 	// truncation rewrite is worth its copy cost. Default 64KiB (with
 	// TruncateJournal set).
 	TruncateMin int64
-
-	// AutoTune enables the per-job USL capacity tuner (DESIGN.md §13): the
-	// fitter samples its own round throughput, fits X(n) = γn/(1+α(n−1)+βn(n−1))
-	// per knob, and steers the job's Parallelism and mini-batch size toward
-	// the measured knee — one ladder rung per adjustment, between rounds
-	// only, journaled as a replay-inert annotation. Default false.
-	AutoTune bool
-
-	// AutoTuneWindow is how many fit rounds one tuner measurement window
-	// spans (throughput is averaged across the window before it becomes an
-	// observation). Default 8.
-	AutoTuneWindow int
-
-	// AutoTuneMaxParallelism caps the tuner's Parallelism ladder. Default
-	// runtime.GOMAXPROCS(0) — steering past the core count only ever adds
-	// coherence cost.
-	AutoTuneMaxParallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -118,12 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TruncateJournal && c.TruncateMin == 0 {
 		c.TruncateMin = 64 << 10
-	}
-	if c.AutoTuneWindow == 0 {
-		c.AutoTuneWindow = 8
-	}
-	if c.AutoTuneMaxParallelism == 0 {
-		c.AutoTuneMaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

@@ -109,7 +109,7 @@ func TestTruncationKillWindowRecovers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(jobDir, modelFile)); err != nil {
 		t.Fatalf("no final checkpoint to anchor the simulated window: %v", err)
 	}
-	if err := copyFileAtomic(filepath.Join(jobDir, modelFile), filepath.Join(jobDir, baseFile)); err != nil {
+	if err := copyFileAtomic(filepath.Join(jobDir, modelFile), filepath.Join(jobDir, baseFile), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(jobDir, journalFile+".tmp"), []byte("torn rewrite\n"), 0o644); err != nil {
@@ -199,5 +199,60 @@ func TestTruncationBelowMinLeavesAnchor(t *testing.T) {
 	}
 	if j, err := os.ReadFile(filepath.Join(jobDir, journalFile)); err != nil || bytes.HasPrefix(j, []byte(`{"op":"base"`)) {
 		t.Fatalf("journal truncated below TruncateMin (err %v)", err)
+	}
+}
+
+// TestCleanCloseTruncatesJournal pins the graceful-restart retention fix: a
+// clean Close checkpoints the drained model and then truncates the journal
+// it covers, so a graceful restart does not carry one extra journal window.
+// The truncated job must still reopen to the identical consensus and keep
+// serving.
+func TestCleanCloseTruncatesJournal(t *testing.T) {
+	dir := t.TempDir()
+	ds := shuffledStream(t, 0.08, 9)
+	spec := JobSpec{
+		ID: "clean", Items: ds.NumItems, Workers: ds.NumWorkers, Labels: ds.NumLabels,
+		Model: core.Config{Seed: 9, BatchSize: 64, Parallelism: 2},
+	}
+	// SaveEvery is huge: no mid-stream checkpoint fires, so any truncation
+	// observed must come from the Close path alone.
+	cfg := Config{Dir: dir, SaveEvery: 1 << 20, BatchWait: time.Millisecond,
+		TruncateJournal: true, TruncateMin: 1 << 10}
+	reg := mustOpen(t, cfg)
+	job, err := reg.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ds.Answers()
+	ingestAll(t, job, all, 64)
+	waitSnapshot(t, job, len(all))
+	before := job.Snapshot()
+	preClose := job.Stats()
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jobDir := filepath.Join(dir, "jobs", "clean")
+	st, err := os.Stat(filepath.Join(jobDir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() >= preClose.JournalFileBytes {
+		t.Fatalf("clean close did not truncate: %d bytes on disk, %d before close",
+			st.Size(), preClose.JournalFileBytes)
+	}
+	if _, err := os.Stat(filepath.Join(jobDir, baseFile)); err != nil {
+		t.Fatalf("clean-close truncation left no base anchor: %v", err)
+	}
+
+	reg2 := mustOpen(t, cfg)
+	defer reg2.Close()
+	job2, ok := reg2.Get("clean")
+	if !ok {
+		t.Fatal("job not recovered after clean close")
+	}
+	sameConsensus(t, before, job2.Snapshot())
+	if got := job2.Stats(); got.JournalBytes < preClose.JournalBytes {
+		t.Fatalf("global journal coordinate regressed: %d, want >= %d", got.JournalBytes, preClose.JournalBytes)
 	}
 }
