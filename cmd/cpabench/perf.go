@@ -53,6 +53,9 @@ type BenchRecord struct {
 	Precision   float64 `json:"precision"`
 	Recall      float64 `json:"recall"`
 	F1          float64 `json:"f1"`
+	// RetainedBytes is the live heap a publish-full row's publisher holds
+	// (its finalize clone and last view); informational, never gated.
+	RetainedBytes int64 `json:"retained_bytes,omitempty"`
 }
 
 // BenchReport is the envelope written by cpabench -json. CPU records the
@@ -312,7 +315,7 @@ func benchOne(method string, ds *answers.Dataset, s experiments.Settings, parall
 // across the two points is the O(batch) publication property the snapshot
 // engine guarantees (DESIGN.md §8). The publish-full rows measure the
 // caught-up full finalize pipeline at the same lengths for comparison
-// (O(stream) by construction).
+// (O(stream) by construction), plus the heap the publisher retains.
 func benchPublish(ds *answers.Dataset, s experiments.Settings, parallelism int) ([]BenchRecord, error) {
 	const steadyRounds = 16
 	var out []BenchRecord
@@ -399,9 +402,24 @@ func benchPublish(ds *answers.Dataset, s experiments.Settings, parallelism int) 
 		full.Method = fmt.Sprintf("publish-full-%dx", mul)
 		full.Runs = fullRuns
 		full.NsPerOp = fullMinNs
+		withPub := heapLive()
+		runtime.KeepAlive(pub)
+		pub = nil
+		full.RetainedBytes = withPub - heapLive()
+		runtime.KeepAlive(model)
 		out = append(out, full)
 	}
 	return out, nil
+}
+
+// heapLive returns HeapAlloc after two collections, so memory the first
+// one could only mark is gone too.
+func heapLive() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // benchKernels times the inference hot loops in isolation — exactly the

@@ -41,6 +41,10 @@ func (m *Model) Fit(ds *answers.Dataset) (*TrainStats, error) {
 	if err := m.loadDataset(ds); err != nil {
 		return nil, err
 	}
+	ws := m.trainScratch()
+	if ws.prevKappa == nil {
+		ws.prevKappa, ws.prevPhi = mat.New(m.numWorkers, m.M), mat.New(m.numItems, m.T)
+	}
 	stats := &TrainStats{}
 
 	// Bootstrap: impute truth from plain votes (uniform reliability), seed
@@ -56,7 +60,7 @@ func (m *Model) Fit(ds *answers.Dataset) (*TrainStats, error) {
 	m.imputeTruth(nil)
 	m.refreshExpectations()
 
-	prevKappa, prevPhi := m.ws.prevKappa, m.ws.prevPhi
+	prevKappa, prevPhi := ws.prevKappa, ws.prevPhi
 	prevKappa.CopyFrom(m.kappa)
 	prevPhi.CopyFrom(m.phi)
 	for iter := 0; iter < m.cfg.MaxIter; iter++ {
@@ -146,14 +150,15 @@ func (m *Model) updateGlobal() {
 
 // updateSticks implements Eqs. (4) and (5).
 func (m *Model) updateSticks() {
+	ws := m.trainScratch()
 	if m.M > 1 {
-		colSum := m.ws.colSumM
+		colSum := ws.colSumM
 		mat.Fill(colSum, 0)
 		m.kappa.ColSumsInto(colSum, nil)
 		applySticks(m.rho1, m.rho2, colSum, m.cfg.Alpha, 1, 1)
 	}
 	if m.T > 1 {
-		colSum := m.ws.colSumT
+		colSum := ws.colSumT
 		mat.Fill(colSum, 0)
 		m.phi.ColSumsInto(colSum, nil)
 		applySticks(m.ups1, m.ups2, colSum, m.cfg.Epsilon, 1, 1)
@@ -165,7 +170,7 @@ func (m *Model) updateSticks() {
 // buffers that are reduced in block order, so results are bit-identical
 // for every Parallelism (mat.Sharded).
 func (m *Model) updateLambda() {
-	suff := m.ws.lambdaSuff
+	suff := m.trainScratch().lambdaSuff
 	m.accLambda.Accumulate(suff, 0, len(suff), m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -183,7 +188,7 @@ func (m *Model) updateLambda() {
 // updateZeta implements Eq. (7) with imputed truth: ζ_tc = η + Σ_i ϕ_it ·
 // E[y_ic] (DESIGN.md D2), sharded over items like updateLambda.
 func (m *Model) updateZeta() {
-	suff := m.ws.zetaSuff
+	suff := m.trainScratch().zetaSuff
 	m.accZeta.Accumulate(suff, 0, len(suff), m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -530,6 +535,9 @@ func (m *Model) imputeItem(i int) {
 // bits, on every backend.
 func (m *Model) dataLogLik() float64 {
 	M, T, C := m.M, m.T, m.numLabels
+	if m.ws.psiMean == nil {
+		m.ws.psiMean = mat.New(T*M, C)
+	}
 	psiMean := m.ws.psiMean
 	psiMean.CopyFrom(m.lambda)
 	for r := 0; r < T*M; r++ {

@@ -258,8 +258,10 @@ type Model struct {
 	// expGen counts expectation refreshes; the score-panel cache
 	// (panels.go) is valid only for panels built at the current generation.
 	expGen uint64
-	// panels is the per-set T×M score-panel cache over elogPsi.
-	panels panelCache
+	// panels is the per-set T×M score-panel cache over elogPsi. A pointer:
+	// a Publisher's finalize clone shares the live model's cache, together
+	// with its elogPsi and expGen (publish.go); Clone gives a private one.
+	panels *panelCache
 
 	// Observed data in dense form (populated by Fit or accumulated by
 	// PartialFit), stored as append-only chunked lists so clones share the
@@ -363,7 +365,8 @@ type Model struct {
 
 // workScratch bundles the reusable working buffers of the inference loops
 // so steady-state iterations allocate nothing. None of it is model state:
-// every buffer is recomputed before use.
+// every buffer is recomputed before use. Buffers only training reads are
+// allocated on first use (trainScratch, Fit, dataLogLik).
 type workScratch struct {
 	lambdaSuff []float64      // (T·M·C) Eq. 6 sufficient statistics
 	zetaSuff   []float64      // (T·C) Eq. 7 sufficient statistics
@@ -446,14 +449,11 @@ func (m *Model) Dims() (int, int, int) { return m.numItems, m.numWorkers, m.numL
 // Truncations returns the effective (M, T) truncation levels.
 func (m *Model) Truncations() (int, int) { return m.M, m.T }
 
+// allocate sizes a full model: the global parameters, their expectations
+// and the score-panel cache, then everything allocateLocal sizes.
 func (m *Model) allocate() {
-	U, I, C, M, T := m.numWorkers, m.numItems, m.numLabels, m.M, m.T
-	m.perWorker = make([]ansList, U)
-	m.perItem = make([]ansList, I)
-	m.dirtyFlags = make([]bool, I)
-	m.revealedTruth = make([][]int, I)
-	m.kappa = mat.New(U, M)
-	m.phi = mat.New(I, T)
+	C, M, T := m.numLabels, m.M, m.T
+	m.dirtyFlags = make([]bool, m.numItems)
 	m.lambda = mat.New(T*M, C)
 	m.zeta = mat.New(T, C)
 	if M > 1 {
@@ -468,6 +468,20 @@ func (m *Model) allocate() {
 	m.elogTau = make([]float64, T)
 	m.elogPsi = mat.New(T*M, C)
 	m.elogPhi = mat.New(T, C)
+	m.panels = &panelCache{}
+	m.allocateLocal()
+}
+
+// allocateLocal sizes the state a finalize pass writes — κ, ϕ, ŷ, the
+// worker model — plus the answer-index headers and the finalize scratch.
+// A Publisher's clone allocates only this and shares the rest (publish.go).
+func (m *Model) allocateLocal() {
+	U, I, C, M, T := m.numWorkers, m.numItems, m.numLabels, m.M, m.T
+	m.perWorker = make([]ansList, U)
+	m.perItem = make([]ansList, I)
+	m.revealedTruth = make([][]int, I)
+	m.kappa = mat.New(U, M)
+	m.phi = mat.New(I, T)
 	m.ws = m.newWorkScratch()
 	m.votedList = make([][]int, I)
 	m.yhatVals = make([][]float64, I)
@@ -731,7 +745,9 @@ func (m *Model) maybeCompactWindow() {
 	m.numAns = 0
 	m.seenWorkers, m.seenItems = 0, 0
 	m.intern = labelset.NewInterner()
-	m.panels = panelCache{disabled: m.panels.disabled}
+	// Reset in place: a publisher clone holding the same cache re-points at
+	// it, and at the new interner, on its next sync.
+	*m.panels = panelCache{disabled: m.panels.disabled}
 	// The scratch product-panel cache is keyed by interned set id too; its
 	// slot map would index past the rebuilt interner. Keep only the float
 	// buffer for reuse.
@@ -942,7 +958,7 @@ func (m *Model) Clone() *Model {
 	// map so both sides can intern new sets independently. The panel cache
 	// is private per model (it aliases the model's own elogPsi): start empty.
 	c.intern = m.intern.Clone()
-	c.panels = panelCache{disabled: m.panels.disabled}
+	c.panels = &panelCache{disabled: m.panels.disabled}
 	cpF := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	c.kappa = m.kappa.Clone()
 	c.phi = m.phi.Clone()
@@ -994,37 +1010,39 @@ func (m *Model) Clone() *Model {
 	return &c
 }
 
-// newWorkScratch allocates a fresh set of working buffers sized to the
-// model's dimensions.
+// newWorkScratch allocates a fresh set of the working buffers every model
+// reads (finalize and prediction), sized to the model's dimensions.
+// Training-only buffers come later, from trainScratch.
 func (m *Model) newWorkScratch() workScratch {
-	U, I, C, M, T := m.numWorkers, m.numItems, m.numLabels, m.M, m.T
-	P := m.cfg.Parallelism
-	countLen := U
-	if I > countLen {
-		countLen = I
-	}
+	I, C, M, T := m.numItems, m.numLabels, m.M, m.T
 	return workScratch{
-		lambdaSuff: make([]float64, T*M*C),
-		zetaSuff:   make([]float64, T*C),
-		colSumM:    make([]float64, M),
-		colSumT:    make([]float64, T),
 		agreeStats: make([]float64, 2*M),
 		coinStats:  make([]float64, m.coinLen()),
-		psiMean:    mat.New(T*M, C),
 		phiMean:    mat.New(T, C),
 		nbar:       make([]float64, T),
 		imputeTab:  make([]float64, C*T),
 		prevClamp:  make([]float64, C),
 		prevLogOdd: make([]float64, C),
 		sigLen:     make([]int, I),
-		prevKappa:  mat.New(U, M),
-		prevPhi:    mat.New(I, T),
-		groupCount: make([]int32, countLen),
-		freshK:     mat.New(P, M),
-		oldK:       mat.New(P, M),
-		freshT:     mat.New(P, T),
-		oldT:       mat.New(P, T),
 	}
+}
+
+// trainScratch allocates, on first use, the buffers only training reads:
+// the Eq. 4–7 sufficient statistics and PartialFit's grouping and blend
+// rows. A model that only finalizes and predicts — a Publisher's clone —
+// never holds them.
+func (m *Model) trainScratch() *workScratch {
+	ws := &m.ws
+	if ws.lambdaSuff == nil {
+		C, M, T, P := m.numLabels, m.M, m.T, m.cfg.Parallelism
+		ws.lambdaSuff = make([]float64, T*M*C)
+		ws.zetaSuff = make([]float64, T*C)
+		ws.colSumM, ws.colSumT = make([]float64, M), make([]float64, T)
+		ws.groupCount = make([]int32, max(m.numWorkers, m.numItems))
+		ws.freshK, ws.oldK = mat.New(P, M), mat.New(P, M)
+		ws.freshT, ws.oldT = mat.New(P, T), mat.New(P, T)
+	}
+	return ws
 }
 
 // answerScore computes Σ_{c∈xs} elogPsi[t][m][c] for a given (t, m), the

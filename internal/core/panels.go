@@ -17,16 +17,20 @@ import (
 //
 // Two cache families exist:
 //
-//   - The sum-panel cache over elogPsi (panelCache, a Model field). Panels
-//     are valid per expectation generation: refreshExpectations bumps
-//     Model.expGen, and scorePanel refuses to serve a slot whose build
-//     generation differs — a stale panel can never be read, even if a
-//     caller forgets the ensure step. Builds happen at serial sync points,
-//     demand-driven: the batch engine brings every admitted set current
-//     before a full pass (ensureScorePanels), while the SVI engine brings
-//     only the round's label sets current (ensureScorePanelsFor) — a
-//     PartialFit round scores just its mini-batch, so rebuilding the whole
-//     universe each round would cost O(distinct sets), not O(batch).
+//   - The sum-panel cache over elogPsi (panelCache, behind a Model
+//     pointer). Panels are valid per expectation generation:
+//     refreshExpectations bumps Model.expGen, and scorePanel refuses to
+//     serve a slot whose build generation differs — a stale panel can never
+//     be read, even if a caller forgets the ensure step. Builds happen at
+//     serial sync points, demand-driven: the batch engine brings every
+//     admitted set current before a full pass (ensureScorePanels), while the
+//     SVI engine brings only the round's label sets current
+//     (ensureScorePanelsFor) — a PartialFit round scores just its
+//     mini-batch, so rebuilding the whole universe each round would cost
+//     O(distinct sets), not O(batch). A serving job holds one cache: the
+//     Publisher's clone shares the live model's cache, elogPsi and expGen,
+//     so a full publication brings every admitted panel current and the
+//     next round's sets are already built (DESIGN.md §9).
 //
 //   - Product panels over a posterior-mean or MAP cube (prodCache, in
 //     workScratch): P[t·M+m] = Π_{c∈set} max(cube[t][m][c], 1e-12), used by
@@ -88,7 +92,7 @@ type panelCache struct {
 // panelScratchPool recycles the score kernels' per-call gather-offset
 // scratch (scratchOffs/poolOffs) across goroutines, sweeps, and models —
 // the buffers carry no model state, so one package pool serves all. Kept
-// out of panelCache so Model stays trivially copyable (Clone's c := *m).
+// out of panelCache so one pool serves every cache.
 var panelScratchPool sync.Pool
 
 // admit assigns a slot to set id if it has none and the budget allows.
@@ -112,7 +116,7 @@ func (p *panelCache) admit(id int32, maxSlots int) {
 // safe for concurrent readers. Fills shard per slot — disjoint writes, so
 // results are identical for every Parallelism.
 func (m *Model) ensureScorePanels() {
-	p := &m.panels
+	p := m.panels
 	if p.disabled {
 		return
 	}
@@ -132,7 +136,7 @@ func (m *Model) ensureScorePanels() {
 // Panels of sets outside the round stay at their old generation and simply
 // fall back to the scalar path if read before their next refresh.
 func (m *Model) ensureScorePanelsFor(tuples []batchAns) {
-	p := &m.panels
+	p := m.panels
 	if p.disabled {
 		return
 	}
@@ -162,7 +166,7 @@ func (m *Model) ensureScorePanelsFor(tuples []batchAns) {
 // behind the current expectations — the batch-engine worklist, where the
 // following pass reads every stored answer.
 func (m *Model) buildStalePanels() {
-	p := &m.panels
+	p := m.panels
 	stale := p.scratch[:0]
 	for s := 0; s < p.slots; s++ {
 		if p.gens[s] != m.expGen {
@@ -182,7 +186,7 @@ func (m *Model) buildPanelSlots(slots []int32) {
 	if len(slots) == 0 {
 		return
 	}
-	p := &m.panels
+	p := m.panels
 	p.buf = growFloats(p.buf, p.slots*(m.T*m.M))
 	m.parallelFor(len(slots), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -197,7 +201,7 @@ func (m *Model) buildPanelSlots(slots []int32) {
 // gather-sum fallbacks always read a current psiT; scratchOffs still
 // checks the generation to stay safe outside that window.
 func (m *Model) ensurePsiT() {
-	p := &m.panels
+	p := m.panels
 	if p.disabled || p.psiTGen == m.expGen {
 		return
 	}
@@ -210,7 +214,7 @@ func (m *Model) ensurePsiT() {
 // fill); values are copied verbatim, so downstream sums see exactly the
 // cube's bits.
 func (m *Model) transposePsi() {
-	p := &m.panels
+	p := m.panels
 	TM := m.T * m.M
 	C := m.numLabels
 	psi := m.elogPsi.Data()
@@ -231,7 +235,7 @@ func (m *Model) transposePsi() {
 // the canonical order answerScore uses — the loop interchange moves zero
 // bits, it only turns the inner loop into a full-width kernel.
 func (m *Model) fillScorePanel(s int) {
-	p := &m.panels
+	p := m.panels
 	TM := m.T * m.M
 	canon := m.intern.Canon(p.ids[s])
 	dst := p.buf[s*TM : (s+1)*TM]
@@ -246,7 +250,7 @@ func (m *Model) fillScorePanel(s int) {
 // cache disabled) — the caller then takes the scalar answerScore path,
 // which produces identical bits.
 func (m *Model) scorePanel(id int32) []float64 {
-	p := &m.panels
+	p := m.panels
 	if p.disabled || int(id) >= len(p.slot) {
 		return nil
 	}
@@ -269,7 +273,7 @@ func (m *Model) scorePanel(id int32) []float64 {
 // (the truly-scalar test hook) or psiT is stale (kernel call outside the
 // ensure window); the caller then takes the scalar path.
 func (m *Model) scratchOffs(scratch **panelScratch, n int) []int {
-	p := &m.panels
+	p := m.panels
 	if p.disabled || p.psiTGen != m.expGen {
 		return nil
 	}
@@ -374,8 +378,12 @@ func (m *Model) buildProductPanels(cube []float64) *prodCache {
 		pc.ids = append(pc.ids, int32(id))
 		pc.slots++
 	}
-	pc.buf = growFloats(pc.buf, pc.slots*TM)
-	// The cube differs between calls, so every slot refills every build.
+	// The cube differs between calls, so every slot refills every build:
+	// growth copies nothing, and a quarter of headroom bounds the slack.
+	if n := pc.slots * TM; cap(pc.buf) < n {
+		pc.buf = make([]float64, n, n+n/4)
+	}
+	pc.buf = pc.buf[:pc.slots*TM]
 	// Same loop interchange as fillScorePanel: each dst[r] multiplies the
 	// floored members in canonical order, one strided kernel pass per
 	// member — bit-identical to the legacy per-row product loop.

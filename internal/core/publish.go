@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 
@@ -11,10 +10,12 @@ import (
 )
 
 // Publisher is the snapshot engine behind serve's per-round consensus
-// publication (DESIGN.md §8). It owns a reusable finalize-clone of the live
-// model — synchronised each round in O(items + workers + parameters), with
-// the chunked answer index shared structurally (chunks.go) — and supports
-// two publication modes:
+// publication (DESIGN.md §8). It keeps a reusable finalize-clone of the
+// live model that owns only the state the finalize pipeline writes and
+// shares the rest by reference — the global parameters, their expectations,
+// the score-panel cache and, structurally, the answer index (chunks.go) —
+// so a job holds one copy of its parameter-sized state (syncPublishState).
+// It supports two publication modes:
 //
 //   - Full: the complete online-prediction pipeline of §4.1 — FinalizeOnline
 //     (global κ/ϕ refresh plus the reliability/imputation fixed point)
@@ -40,7 +41,9 @@ import (
 // serving journal replay reproduce any published snapshot exactly.
 //
 // A Publisher must be driven from the goroutine that owns the model (the
-// fitter); the views it returns are immutable and safe to share.
+// fitter), strictly in turn with PartialFit: the clone reads the live
+// model's parameters in place. The views it returns are immutable and safe
+// to share.
 type Publisher struct {
 	src   *Model
 	clone *Model
@@ -122,8 +125,9 @@ func (p *Publisher) addSweep(dirty []int) []int {
 	return dirty
 }
 
-// ensureClone lazily allocates the reusable finalize-clone: a model-shaped
-// shell whose buffers are refilled by syncPublishState each round.
+// ensureClone lazily allocates the reusable finalize-clone: a model shell
+// holding only the state a finalize pass writes (allocateLocal), refilled by
+// syncPublishState each round.
 func (p *Publisher) ensureClone() {
 	if p.clone != nil {
 		return
@@ -136,35 +140,38 @@ func (p *Publisher) ensureClone() {
 		numLabels:  m.numLabels,
 		M:          m.M,
 		T:          m.T,
-		rng:        rand.New(rand.NewSource(m.cfg.Seed)),
 		temp:       1,
 	}
-	c.allocate()
+	c.allocateLocal()
 	p.clone = c
 }
 
-// syncIntern points the clone at the live model's interner. The table is
-// append-only with stable ids and both models are driven from the fitter
-// goroutine, so sharing is safe and keeps the clone's shared answer refs
-// (whose set ids index the live table) resolvable. A window compaction
-// (maybeCompactWindow) replaces the live interner wholesale, renumbering
-// every set — when that happens, the clone's id-keyed caches must be
-// dropped: their cached ids would index a table they were never built
-// against.
-func (p *Publisher) syncIntern() {
-	if p.clone.intern != p.src.intern {
-		p.clone.panels = panelCache{disabled: p.clone.panels.disabled}
-		p.clone.ws.prod = prodCache{buf: p.clone.ws.prod.buf}
-	}
-	p.clone.intern = p.src.intern
-	p.clone.panels.disabled = p.src.panels.disabled
-}
-
-// syncPublishState refills the clone from the live model: parameters and
-// per-item mutable state are copied into the clone's retained buffers, the
-// answer index is shared structurally. Cost is O(items + workers +
-// parameters) — nothing scales with the number of ingested answers.
+// syncPublishState brings the clone level with the live model. The clone
+// owns only what FinalizeOnline and ConsensusView write — κ, ϕ, ŷ, the
+// worker model, the hard signatures, the finalize scratch and the product
+// panels — and refills those retained buffers by copy. Everything else it
+// shares by reference: the interner, λ, ζ, the sticks, their expectations
+// and the score-panel cache with its transposed cube; the answer index is
+// shared structurally (chunks.go). Sharing is safe because the fitter
+// goroutine runs PartialFit and publication strictly in turn, and the
+// clone's one write to shared state, bringing panels current, is
+// value-transparent (panels.go). The clone takes the live expGen, so panels
+// already current are reused, and the ones the publication builds serve the
+// next round. Cost is O(items·T + workers·M): nothing scales with the
+// number of ingested answers, and no T×M×C cube is copied.
 func (c *Model) syncPublishState(src *Model) {
+	// A window compaction (maybeCompactWindow) replaces the live interner
+	// wholesale, renumbering every set: the clone's id-keyed product panels
+	// would index a table they were never built against.
+	if c.intern != src.intern {
+		c.ws.prod = prodCache{buf: c.ws.prod.buf}
+	}
+	c.intern, c.panels, c.expGen = src.intern, src.panels, src.expGen
+	c.lambda, c.zeta, c.elogPsi, c.elogPhi = src.lambda, src.zeta, src.elogPsi, src.elogPhi
+	c.rho1, c.rho2, c.ups1, c.ups2 = src.rho1, src.rho2, src.ups1, src.ups2
+	c.elogPi, c.elogTau = src.elogPi, src.elogTau
+	c.expertCooc = src.expertCooc
+
 	for u := range src.perWorker {
 		c.perWorker[u] = src.perWorker[u].shareClone()
 	}
@@ -177,16 +184,6 @@ func (c *Model) syncPublishState(src *Model) {
 	copy(c.revealedTruth, src.revealedTruth) // inner slices are rebind-only
 	c.kappa.CopyFrom(src.kappa)
 	c.phi.CopyFrom(src.phi)
-	c.lambda.CopyFrom(src.lambda)
-	c.zeta.CopyFrom(src.zeta)
-	copy(c.rho1, src.rho1)
-	copy(c.rho2, src.rho2)
-	copy(c.ups1, src.ups1)
-	copy(c.ups2, src.ups2)
-	copy(c.elogPi, src.elogPi)
-	copy(c.elogTau, src.elogTau)
-	c.elogPsi.CopyFrom(src.elogPsi)
-	c.elogPhi.CopyFrom(src.elogPhi)
 	copy(c.votedList, src.votedList) // inner slices are rebind-only
 	for i := range src.yhatVals {
 		// ŷ is mutated in place by imputation: copy into retained buffers.
@@ -203,28 +200,6 @@ func (c *Model) syncPublishState(src *Model) {
 	copy(c.voteLW, src.voteLW)
 	copy(c.missLW, src.missLW)
 	copy(c.labelPrev, src.labelPrev)
-	if src.runTP != nil {
-		if c.runTP == nil {
-			M, C := c.M, c.numLabels
-			c.runTP, c.runTPD = make([]float64, M), make([]float64, M)
-			c.runFP, c.runFPD = make([]float64, M), make([]float64, M)
-			c.runAgree, c.runAgreeD = make([]float64, M), make([]float64, M)
-			c.runPrevN, c.runPrevD = make([]float64, C), make([]float64, C)
-		}
-		copy(c.runTP, src.runTP)
-		copy(c.runTPD, src.runTPD)
-		copy(c.runFP, src.runFP)
-		copy(c.runFPD, src.runFPD)
-		copy(c.runAgree, src.runAgree)
-		copy(c.runAgreeD, src.runAgreeD)
-		copy(c.runPrevN, src.runPrevN)
-		copy(c.runPrevD, src.runPrevD)
-	}
-	// The clone's elogPsi was just replaced wholesale: advance its
-	// expectation generation so any score panels built against the previous
-	// round's copy are invalidated (the generation guard in scorePanel).
-	c.expGen++
-	c.expertCooc = src.expertCooc
 	c.haveRates = src.haveRates
 	c.streamFitted = src.streamFitted
 	c.fitted = src.fitted
@@ -244,7 +219,6 @@ func publishParallelism() int { return runtime.GOMAXPROCS(0) }
 // with the clone's map and reduce steps on all cores.
 func (p *Publisher) publishFull() (*ConsensusView, error) {
 	p.ensureClone()
-	p.syncIntern()
 	p.clone.syncPublishState(p.src)
 	p.clone.cfg.Parallelism = publishParallelism()
 	p.cursor = 0

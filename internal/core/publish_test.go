@@ -181,7 +181,9 @@ func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 // the chunked answer index: after a clone, both the source and the clone
 // keep ingesting and fitting independently, and each must end bit-identical
 // to a fresh model fed its own full sequence — no cross-talk through the
-// shared chunks.
+// shared chunks. Clone's privacy is pinned structurally too: the two never
+// share a panel cache or any work-scratch buffer (the Publisher's clone is
+// the one model that shares a cache, by design).
 func TestCloneSharedStorageIsolation(t *testing.T) {
 	ds := publishStream(t, 7)
 	all := ds.Answers()
@@ -231,5 +233,271 @@ func TestCloneSharedStorageIsolation(t *testing.T) {
 		if !reflect.DeepEqual(wantView, gotView) {
 			t.Fatalf("%s diverged from its uninterrupted reference after shared-storage clone", c.name)
 		}
+	}
+	if src.panels == clone.panels {
+		t.Fatal("Clone shares the source's score-panel cache")
+	}
+	if f := sharedScratchField(&src.ws, &clone.ws); f != "" {
+		t.Fatalf("Clone shares the source's work-scratch buffer %s", f)
+	}
+}
+
+// sharedScratchField names the first workScratch field whose storage a and
+// b share (any slice, pointer or matrix, nested structs included), or "".
+func sharedScratchField(a, b *workScratch) string {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for k := 0; k < va.NumField(); k++ {
+		if sharesStorage(va.Field(k), vb.Field(k)) {
+			return va.Type().Field(k).Name
+		}
+	}
+	return ""
+}
+
+func sharesStorage(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Slice:
+		return a.Cap() > 0 && b.Cap() > 0 && a.Pointer() == b.Pointer()
+	case reflect.Pointer:
+		return !a.IsNil() && a.Pointer() == b.Pointer()
+	case reflect.Struct:
+		for k := 0; k < a.NumField(); k++ {
+			if sharesStorage(a.Field(k), b.Field(k)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// loadShuffled loads a shuffled profile stream at the given scale.
+func loadShuffled(t testing.TB, profile string, scale float64, seed int64) *answers.Dataset {
+	t.Helper()
+	ds, _, err := datasets.Load(profile, scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Shuffled(rand.New(rand.NewSource(seed)))
+}
+
+// chainExpert installs a synthetic expert matrix, "label c implies c+1".
+func chainExpert(t testing.TB, m *Model) {
+	t.Helper()
+	C := m.numLabels
+	cooc := make([][]float64, C)
+	for c := range cooc {
+		cooc[c] = make([]float64, C)
+		cooc[c][(c+1)%C] = 0.9
+	}
+	if err := m.SetExpertCooccurrence(cooc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameLiveBits asserts two live models hold bit-identical fitting state:
+// parameters, their expectations, ŷ and the whole worker model.
+func sameLiveBits(t testing.TB, what string, want, got *Model) {
+	t.Helper()
+	sameModelBits(t, what, want, got)
+	for _, f := range []struct {
+		name      string
+		want, got []float64
+	}{
+		{"elogPsi", want.elogPsi.Data(), got.elogPsi.Data()},
+		{"elogPhi", want.elogPhi.Data(), got.elogPhi.Data()},
+		{"elogPi", want.elogPi, got.elogPi},
+		{"elogTau", want.elogTau, got.elogTau},
+		{"rho1", want.rho1, got.rho1},
+		{"rho2", want.rho2, got.rho2},
+		{"ups1", want.ups1, got.ups1},
+		{"ups2", want.ups2, got.ups2},
+		{"workerRelW", want.workerRelW, got.workerRelW},
+		{"tprM", want.tprM, got.tprM},
+		{"fprM", want.fprM, got.fprM},
+		{"tpNumU", want.tpNumU, got.tpNumU},
+		{"tpDenU", want.tpDenU, got.tpDenU},
+		{"fpNumU", want.fpNumU, got.fpNumU},
+		{"fpDenU", want.fpDenU, got.fpDenU},
+		{"voteLW", want.voteLW, got.voteLW},
+		{"missLW", want.missLW, got.missLW},
+		{"labelPrev", want.labelPrev, got.labelPrev},
+		{"runTP", want.runTP, got.runTP},
+		{"runTPD", want.runTPD, got.runTPD},
+		{"runFP", want.runFP, got.runFP},
+		{"runFPD", want.runFPD, got.runFPD},
+		{"runAgree", want.runAgree, got.runAgree},
+		{"runAgreeD", want.runAgreeD, got.runAgreeD},
+		{"runPrevN", want.runPrevN, got.runPrevN},
+		{"runPrevD", want.runPrevD, got.runPrevD},
+	} {
+		sameBits(t, what+": "+f.name, f.want, f.got)
+	}
+	if !reflect.DeepEqual(want.votedList, got.votedList) {
+		t.Fatalf("%s: voted lists diverged", what)
+	}
+	if want.expGen != got.expGen || want.haveRates != got.haveRates || want.lastBatchDelta != got.lastBatchDelta {
+		t.Fatalf("%s: expGen/haveRates/lastBatchDelta diverged", what)
+	}
+}
+
+// checkCloneShares asserts the publisher's finalize clone aliases the live
+// model's read-only globals and score-panel cache, owns private copies of
+// what finalize writes, and holds no training scratch or rng; and that the
+// live streaming model holds none of batch Fit's scratch.
+func checkCloneShares(t testing.TB, what string, pub *Publisher) {
+	t.Helper()
+	c, m := pub.clone, pub.src
+	if c.lambda != m.lambda || c.zeta != m.zeta || c.elogPsi != m.elogPsi || c.elogPhi != m.elogPhi ||
+		c.panels != m.panels || c.intern != m.intern {
+		t.Fatalf("%s: clone does not alias the live λ/ζ/elogPsi/elogPhi/panels/interner", what)
+	}
+	if c.expGen != m.expGen {
+		t.Fatalf("%s: clone expGen %d, live %d", what, c.expGen, m.expGen)
+	}
+	if c.kappa == m.kappa || c.phi == m.phi || &c.yhatVals[0] == &m.yhatVals[0] ||
+		&c.tpNumU[0] == &m.tpNumU[0] || &c.voteLW[0] == &m.voteLW[0] || &c.labelPrev[0] == &m.labelPrev[0] {
+		t.Fatalf("%s: clone shares state that finalize writes", what)
+	}
+	ws := &c.ws
+	if c.rng != nil || ws.lambdaSuff != nil || ws.zetaSuff != nil || ws.colSumM != nil || ws.groupCount != nil ||
+		ws.freshK != nil || ws.oldK != nil || ws.freshT != nil || ws.oldT != nil ||
+		ws.prevKappa != nil || ws.prevPhi != nil || ws.psiMean != nil || c.runTP != nil {
+		t.Fatalf("%s: clone holds training scratch, running SVI statistics or an rng", what)
+	}
+	if m.ws.prevKappa != nil || m.ws.prevPhi != nil || m.ws.psiMean != nil {
+		t.Fatalf("%s: streaming model holds batch Fit scratch", what)
+	}
+}
+
+// TestPublishNeverPerturbsLiveFit pins that publication only reads the live
+// fit, although the publisher's clone shares its globals and panel cache:
+// one model publishes after every round (a full publication every third
+// round, incremental ones between), a twin publishes nothing, and after
+// every round the two live models must agree bit for bit. Panels on and
+// off, an expert matrix, and an AnswerWindow that compacts several times.
+func TestPublishNeverPerturbsLiveFit(t *testing.T) {
+	for _, tc := range []struct {
+		name, profile string
+		window        int
+		expert, noPan bool
+	}{
+		{name: "topic", profile: "topic"},
+		{name: "image", profile: "image"},
+		{name: "image/panels-off", profile: "image", noPan: true},
+		{name: "topic/expert", profile: "topic", expert: true},
+		{name: "image/window", profile: "image", window: 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := loadShuffled(t, tc.profile, 0.08, 11)
+			cfg := Config{Seed: 11, BatchSize: 64, AnswerWindow: tc.window}
+			newModel := func() *Model {
+				m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.expert {
+					chainExpert(t, m)
+				}
+				m.panels.disabled = tc.noPan
+				return m
+			}
+			live, bare := newModel(), newModel()
+			pub := NewPublisher(live)
+			compactions, fulls := 0, 0
+			for round, b := range ds.Batches(cfg.BatchSize) {
+				intern := live.intern
+				if err := live.PartialFit(b.Answers); err != nil {
+					t.Fatal(err)
+				}
+				if err := bare.PartialFit(b.Answers); err != nil {
+					t.Fatal(err)
+				}
+				if live.intern != intern {
+					compactions++
+				}
+				full := round%3 == 0
+				if _, _, err := pub.Publish(full); err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("round %d (full=%v)", round, full)
+				sameLiveBits(t, what, bare, live)
+				if full {
+					fulls++
+					checkCloneShares(t, what, pub)
+				}
+			}
+			if fulls < 5 {
+				t.Fatalf("only %d full publications", fulls)
+			}
+			if tc.window > 0 && compactions < 2 {
+				t.Fatalf("AnswerWindow compacted %d times, want at least 2", compactions)
+			}
+			if !tc.noPan && live.panels.slots == 0 {
+				t.Fatal("no panels admitted: the shared cache went unexercised")
+			}
+		})
+	}
+}
+
+// TestPublishAcrossWindowCompaction drives the publisher through AnswerWindow
+// compactions, which swap the live interner and reset the shared panel
+// cache. A twin model serves as the legacy reference: its full rounds are a
+// fresh Clone()+FinalizeOnline()+ConsensusView(), its incremental rounds
+// refresh that chain. Full and incremental views must match bit for bit on
+// every round, including full publications right after a compaction.
+func TestPublishAcrossWindowCompaction(t *testing.T) {
+	ds := publishStream(t, 23)
+	cfg := Config{Seed: 23, BatchSize: 64, AnswerWindow: 192}
+	newModel := func() *Model {
+		m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	live, twin := newModel(), newModel()
+	pub, ref := NewPublisher(live), NewPublisher(twin)
+	compactedFull, incRounds := 0, 0
+	for round, b := range ds.Batches(cfg.BatchSize) {
+		intern := live.intern
+		if err := live.PartialFit(b.Answers); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.PartialFit(b.Answers); err != nil {
+			t.Fatal(err)
+		}
+		compacted := live.intern != intern
+		full := round%3 == 0 || compacted
+		got, dirty, err := pub.Publish(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *ConsensusView
+		var wantDirty []int
+		if full {
+			legacy := twin.Clone()
+			legacy.FinalizeOnline()
+			if want, err = legacy.ConsensusView(); err != nil {
+				t.Fatal(err)
+			}
+			// What Publish does on a full round, minus the clone.
+			twin.takeDirtySorted(nil)
+			ref.view, ref.cursor = want, 0
+			if compacted {
+				compactedFull++
+			}
+		} else {
+			if want, wantDirty, err = ref.Publish(false); err != nil {
+				t.Fatal(err)
+			}
+			incRounds++
+		}
+		if !reflect.DeepEqual(wantDirty, dirty) {
+			t.Fatalf("round %d: dirty sets diverged", round)
+		}
+		sameView(t, round, want, got)
+	}
+	if compactedFull < 2 || incRounds < 5 {
+		t.Fatalf("%d full publications after a compaction, %d incremental rounds: too few to exercise the swap", compactedFull, incRounds)
 	}
 }

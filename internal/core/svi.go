@@ -122,7 +122,7 @@ func (m *Model) PartialFit(batch []answers.Answer) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	ws := &m.ws
+	ws := m.trainScratch()
 	// Validate and ingest, interning each answer's label set.
 	tuples := ws.batchAns[:0]
 	for _, a := range batch {
