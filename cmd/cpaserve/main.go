@@ -23,6 +23,9 @@
 // replication stats. A cluster member needs a -data directory.
 //
 //	cpaserve -name a -addr :8081 -data ./node-a
+//
+// With -pprof localhost:6060 it also serves net/http/pprof there, never on
+// the API address: go tool pprof http://localhost:6060/debug/pprof/heap.
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers on http.DefaultServeMux, which only -pprof serves
 	"os"
 	"os/signal"
 	"syscall"
@@ -52,6 +56,7 @@ func main() {
 		syncJrnl  = flag.Bool("sync-journal", false, "fsync the journal after every ingested batch")
 		truncate  = flag.Bool("truncate-journal", false, "drop the journal prefix behind each durable checkpoint (bounded disk for long-lived jobs)")
 		truncMin  = flag.Int64("truncate-min", 0, "minimum droppable prefix in bytes before a truncation fires (0 = default 64KiB)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 ('' = off)")
 	)
 	flag.Parse()
 
@@ -87,6 +92,15 @@ func main() {
 	}
 	if n := len(reg.Jobs()); n > 0 {
 		log.Printf("%s: recovered %d job(s) from %q", who, n, *data)
+	}
+
+	if *pprofAddr != "" {
+		go func() {
+			log.Printf("%s: profiling on %s", who, *pprofAddr)
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				log.Printf("%s: profiling listener: %v", who, err)
+			}
+		}()
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: handler}

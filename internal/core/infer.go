@@ -42,6 +42,7 @@ func (m *Model) Fit(ds *answers.Dataset) (*TrainStats, error) {
 		return nil, err
 	}
 	ws := m.trainScratch()
+	defer m.releaseScratch()
 	if ws.prevKappa == nil {
 		ws.prevKappa, ws.prevPhi = mat.New(m.numWorkers, m.M), mat.New(m.numItems, m.T)
 	}

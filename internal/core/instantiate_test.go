@@ -203,20 +203,21 @@ func TestInstantiatePrunedMatchesReferee(t *testing.T) {
 			}
 			pub := NewPublisher(model)
 			rounds, dropped := 0, 0
+			var what string
+			// The publisher's clone holds the finalized posterior the full
+			// publication instantiated from until it goes back to its pool.
+			publishHook = func(c *Model) { dropped += checkAgainstReferees(t, what+" full", c, true) }
+			t.Cleanup(func() { publishHook = nil })
 			for r, b := range ds.Batches(cfg.BatchSize) {
 				if err := model.PartialFit(b.Answers); err != nil {
 					t.Fatal(err)
 				}
 				full := r%4 == 3
+				what = fmt.Sprintf("round %d", r)
 				if _, _, err := pub.Publish(full); err != nil {
 					t.Fatal(err)
 				}
-				what := fmt.Sprintf("round %d", r)
-				if full {
-					// The publisher's clone holds the finalized posterior
-					// the full publication instantiated from.
-					dropped += checkAgainstReferees(t, what+" full", pub.clone, true)
-				} else {
+				if !full {
 					// The incremental publication reads the live model.
 					dropped += checkAgainstReferees(t, what+" incremental", model, false)
 				}

@@ -366,12 +366,12 @@ type Model struct {
 // workScratch bundles the reusable working buffers of the inference loops
 // so steady-state iterations allocate nothing. None of it is model state:
 // every buffer is recomputed before use. Buffers only training reads are
-// allocated on first use (trainScratch, Fit, dataLogLik).
+// borrowed per call (trainBufs) or allocated on first use (Fit,
+// dataLogLik).
 type workScratch struct {
-	lambdaSuff []float64      // (T·M·C) Eq. 6 sufficient statistics
-	zetaSuff   []float64      // (T·C) Eq. 7 sufficient statistics
-	colSumM    []float64      // M responsibility column sums
-	colSumT    []float64      // T
+	// trainBufs is nil outside a training call (trainScratch).
+	*trainBufs
+
 	agreeStats []float64      // 2M community agreement accumulators
 	coinStats  []float64      // coin-stat layout, see coinLen
 	psiMean    *mat.Dense     // (T·M)×C posterior-mean confusion (dataLogLik)
@@ -389,10 +389,16 @@ type workScratch struct {
 
 	// prod holds the call-scoped product panels (dataLogLik, Predict).
 	prod prodCache
+}
 
-	// PartialFit round scratch: the per-round grouping, blending, and merge
-	// buffers that used to be allocated fresh every round (maps, per-shard
-	// slices). All are rebuilt from scratch each round; none is model state.
+// trainBufs is the working memory of one training call (PartialFit, Fit),
+// borrowed from trainPool for the call: every buffer is rebuilt each round
+// and holds values only, never a reference into a model.
+type trainBufs struct {
+	lambdaSuff  []float64 // (T·M·C) Eq. 6 sufficient statistics
+	zetaSuff    []float64 // (T·C) Eq. 7 sufficient statistics
+	colSumM     []float64 // M responsibility column sums
+	colSumT     []float64 // T
 	batchAns    []batchAns
 	groupCount  []int32 // max(U, I) counting array, zero outside a group call
 	gWorkers    batchGroups
@@ -747,11 +753,11 @@ func (m *Model) maybeCompactWindow() {
 	m.intern = labelset.NewInterner()
 	// Reset in place: a publisher clone holding the same cache re-points at
 	// it, and at the new interner, on its next sync.
+	m.releasePsiT()
 	*m.panels = panelCache{disabled: m.panels.disabled}
 	// The scratch product-panel cache is keyed by interned set id too; its
-	// slot map would index past the rebuilt interner. Keep only the float
-	// buffer for reuse.
-	m.ws.prod = prodCache{buf: m.ws.prod.buf}
+	// slot map would index past the rebuilt interner.
+	m.ws.prod.reset()
 	for k, item := range items {
 		id := m.intern.InternSlice(labels[k])
 		worker := workers[k]
@@ -1027,22 +1033,40 @@ func (m *Model) newWorkScratch() workScratch {
 	}
 }
 
-// trainScratch allocates, on first use, the buffers only training reads:
-// the Eq. 4–7 sufficient statistics and PartialFit's grouping and blend
-// rows. A model that only finalizes and predicts — a Publisher's clone —
-// never holds them.
+// trainScratch borrows, on first use in a training call, the buffers only
+// training reads (trainBufs); the call gives them back with releaseScratch.
+// A model that only finalizes and predicts — a Publisher's clone — never
+// holds them.
 func (m *Model) trainScratch() *workScratch {
 	ws := &m.ws
-	if ws.lambdaSuff == nil {
+	if ws.trainBufs == nil {
+		if ws.trainBufs = trainPool.get(m.shapeKey(m.cfg.Parallelism)); ws.trainBufs != nil {
+			clear(ws.groupCount) // the one buffer read before it is written
+			return ws
+		}
 		C, M, T, P := m.numLabels, m.M, m.T, m.cfg.Parallelism
-		ws.lambdaSuff = make([]float64, T*M*C)
-		ws.zetaSuff = make([]float64, T*C)
-		ws.colSumM, ws.colSumT = make([]float64, M), make([]float64, T)
-		ws.groupCount = make([]int32, max(m.numWorkers, m.numItems))
-		ws.freshK, ws.oldK = mat.New(P, M), mat.New(P, M)
-		ws.freshT, ws.oldT = mat.New(P, T), mat.New(P, T)
+		tb := &trainBufs{lambdaSuff: make([]float64, T*M*C), zetaSuff: make([]float64, T*C)}
+		tb.colSumM, tb.colSumT = make([]float64, M), make([]float64, T)
+		tb.groupCount = make([]int32, max(m.numWorkers, m.numItems))
+		tb.freshK, tb.oldK = mat.New(P, M), mat.New(P, M)
+		tb.freshT, tb.oldT = mat.New(P, T), mat.New(P, T)
+		ws.trainBufs = tb
 	}
 	return ws
+}
+
+func (m *Model) shapeKey(par int) shapeKey {
+	return shapeKey{m.numItems, m.numWorkers, m.numLabels, m.M, m.T, par}
+}
+
+// releaseScratch ends a call's borrowing: the training scratch and the
+// transposed ψ cube go back to their pools.
+func (m *Model) releaseScratch() {
+	if tb := m.ws.trainBufs; tb != nil {
+		m.ws.trainBufs = nil
+		trainPool.put(m.shapeKey(m.cfg.Parallelism), tb)
+	}
+	m.releasePsiT()
 }
 
 // answerScore computes Σ_{c∈xs} elogPsi[t][m][c] for a given (t, m), the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"cpa/internal/mathx"
@@ -83,8 +84,10 @@ type panelCache struct {
 	// when panels need filling. It turns each panel fill from |set|
 	// stride-C gather passes over the cube into |set| contiguous vector
 	// adds; the transpose itself is one O(TM·C) pass, amortised across
-	// every set built that generation.
-	psiT     []float64
+	// every set built that generation. Borrowed from psiTPool by the first
+	// build of a call and given back when the call (PartialFit, Fit,
+	// FinalizeOnline) ends: nil between calls.
+	psiT     *[]float64
 	psiTGen  uint64
 	disabled bool // test hook: force every kernel onto the scalar path
 }
@@ -94,6 +97,58 @@ type panelCache struct {
 // the buffers carry no model state, so one package pool serves all. Kept
 // out of panelCache so one pool serves every cache.
 var panelScratchPool sync.Pool
+
+// shapePool lends the working memory one call fully rewrites — a
+// publication's finalize clone, a training call's scratch, the transposed
+// ψ cube — across every model in the process (DESIGN.md §8, §9): one
+// sync.Pool per key, which holds every dimension that sizes the buffer.
+// One borrower holds a buffer at a time and gives it back with no
+// reference to its model's state, so jobs of one shape share working
+// memory and an idle job's goes to the GC.
+type shapePool[K comparable, T any] struct {
+	mu    sync.Mutex
+	pools map[K]*sync.Pool
+}
+
+var (
+	clonePool shapePool[shapeKey, Model]
+	trainPool shapePool[shapeKey, trainBufs]
+	psiTPool  shapePool[int, []float64] // keyed by length T·M·C
+)
+
+// shapeKey holds the dimensions that size a clone or (with par) a
+// trainBufs.
+type shapeKey struct{ items, workers, labels, m, t, par int }
+
+// poolPutHook, when set, sees every buffer as it goes back to its pool. It
+// is a test seam (pool hygiene) and must be set while no model is in use.
+var poolPutHook func(x any)
+
+func (s *shapePool[K, T]) pool(k K) *sync.Pool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pools == nil {
+		s.pools = map[K]*sync.Pool{}
+	}
+	if s.pools[k] == nil {
+		s.pools[k] = new(sync.Pool)
+	}
+	return s.pools[k]
+}
+
+// get returns a free buffer of shape k, or nil when there is none.
+func (s *shapePool[K, T]) get(k K) *T {
+	x, _ := s.pool(k).Get().(*T)
+	return x
+}
+
+// put gives x back; the caller keeps no reference to it.
+func (s *shapePool[K, T]) put(k K, x *T) {
+	if poolPutHook != nil {
+		poolPutHook(x)
+	}
+	s.pool(k).Put(x)
+}
 
 // admit assigns a slot to set id if it has none and the budget allows.
 func (p *panelCache) admit(id int32, maxSlots int) {
@@ -187,7 +242,8 @@ func (m *Model) buildPanelSlots(slots []int32) {
 		return
 	}
 	p := m.panels
-	p.buf = growFloats(p.buf, p.slots*(m.T*m.M))
+	n := p.slots * m.T * m.M
+	p.buf = slices.Grow(p.buf, n-len(p.buf))[:n]
 	m.parallelFor(len(slots), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			m.fillScorePanel(int(slots[k]))
@@ -195,18 +251,36 @@ func (m *Model) buildPanelSlots(slots []int32) {
 	})
 }
 
-// ensurePsiT brings the transposed cube current with the expectations.
-// Called from the serial ensure* sync points (directly and via
-// buildPanelSlots), so the parallel panel fills and the score kernels'
-// gather-sum fallbacks always read a current psiT; scratchOffs still
-// checks the generation to stay safe outside that window.
+// ensurePsiT brings the transposed cube current with the expectations,
+// borrowing it first if the call holds none. Called from the serial
+// ensure* sync points (directly and via buildPanelSlots), so the parallel
+// panel fills and the score kernels' gather-sum fallbacks always read a
+// current psiT; scratchOffs still checks the generation to stay safe
+// outside that window.
 func (m *Model) ensurePsiT() {
 	p := m.panels
-	if p.disabled || p.psiTGen == m.expGen {
+	if p.disabled || p.psiTGen == m.expGen { // psiTGen is 0 while psiT is nil
 		return
+	}
+	if p.psiT == nil {
+		n := m.T * m.M * m.numLabels
+		if p.psiT = psiTPool.get(n); p.psiT == nil {
+			buf := make([]float64, n)
+			p.psiT = &buf
+		}
 	}
 	m.transposePsi()
 	p.psiTGen = m.expGen
+}
+
+// releasePsiT gives the transposed cube back to psiTPool. The next build
+// borrows and refills one: expectations refresh every round, so a cube
+// kept between calls would be stale anyway.
+func (m *Model) releasePsiT() {
+	if p := m.panels; p.psiT != nil {
+		psiTPool.put(len(*p.psiT), p.psiT)
+		p.psiT, p.psiTGen = nil, 0
+	}
 }
 
 // transposePsi refreshes the column-major elogPsi copy the panel fills
@@ -214,15 +288,14 @@ func (m *Model) ensurePsiT() {
 // fill); values are copied verbatim, so downstream sums see exactly the
 // cube's bits.
 func (m *Model) transposePsi() {
-	p := m.panels
 	TM := m.T * m.M
 	C := m.numLabels
 	psi := m.elogPsi.Data()
-	p.psiT = growFloats(p.psiT, TM*C)
+	psiT := *m.panels.psiT
 	for r := 0; r < TM; r++ {
 		row := psi[r*C : (r+1)*C]
 		for c, v := range row {
-			p.psiT[c*TM+r] = v
+			psiT[c*TM+r] = v
 		}
 	}
 }
@@ -239,9 +312,10 @@ func (m *Model) fillScorePanel(s int) {
 	TM := m.T * m.M
 	canon := m.intern.Canon(p.ids[s])
 	dst := p.buf[s*TM : (s+1)*TM]
+	psiT := *p.psiT
 	mathx.Fill(dst, 0)
 	for _, c := range canon {
-		mathx.AddStrided(dst, p.psiT[c*TM:(c+1)*TM], 1)
+		mathx.AddStrided(dst, psiT[c*TM:(c+1)*TM], 1)
 	}
 }
 
@@ -316,21 +390,6 @@ func (m *Model) putScratchPanel(scratch *panelScratch) {
 	}
 }
 
-// growFloats resizes buf to n entries, preserving the existing prefix and
-// doubling the backing array so amortised growth stays O(1) per entry.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		newCap := 2 * cap(buf)
-		if newCap < n {
-			newCap = n
-		}
-		nb := make([]float64, n, newCap)
-		copy(nb, buf)
-		return nb
-	}
-	return buf[:n]
-}
-
 // prodCache caches per-set product panels against a caller-supplied cube.
 // It lives in workScratch: per model, single-writer, rebuilt per call site.
 type prodCache struct {
@@ -338,6 +397,14 @@ type prodCache struct {
 	ids   []int32
 	buf   []float64
 	slots int
+}
+
+// reset drops every slot, keeping the storage for the next build. Slots
+// are keyed by interned set id, so they must go whenever the interner the
+// cache was built against is replaced (a window compaction, or a finalize
+// clone moving to another job).
+func (pc *prodCache) reset() {
+	*pc = prodCache{slot: pc.slot[:0], ids: pc.ids[:0], buf: pc.buf}
 }
 
 // panel returns the set's product panel from the latest build, or nil.

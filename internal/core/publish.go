@@ -10,11 +10,12 @@ import (
 )
 
 // Publisher is the snapshot engine behind serve's per-round consensus
-// publication (DESIGN.md §8). It keeps a reusable finalize-clone of the
-// live model that owns only the state the finalize pipeline writes and
-// shares the rest by reference — the global parameters, their expectations,
-// the score-panel cache and, structurally, the answer index (chunks.go) —
-// so a job holds one copy of its parameter-sized state (syncPublishState).
+// publication (DESIGN.md §8). A full publication borrows a finalize clone
+// of the live model from clonePool: it owns only the state the finalize
+// pipeline writes and shares the rest by reference — the global
+// parameters, their expectations, the score-panel cache and, structurally,
+// the answer index (chunks.go) — and goes back to the pool when the view is
+// built, so a job at rest holds no finalize state (syncPublishState).
 // It supports two publication modes:
 //
 //   - Full: the complete online-prediction pipeline of §4.1 — FinalizeOnline
@@ -42,12 +43,11 @@ import (
 //
 // A Publisher must be driven from the goroutine that owns the model (the
 // fitter), strictly in turn with PartialFit: the clone reads the live
-// model's parameters in place. The views it returns are immutable and safe
+// model's parameters in place. The views it returns are read-only and safe
 // to share.
 type Publisher struct {
-	src   *Model
-	clone *Model
-	view  *ConsensusView
+	src  *Model
+	view *ConsensusView
 
 	// cursor is the round-robin sweep position: each incremental round also
 	// refreshes up to |dirty| untouched items so consensus staleness from
@@ -125,47 +125,44 @@ func (p *Publisher) addSweep(dirty []int) []int {
 	return dirty
 }
 
-// ensureClone lazily allocates the reusable finalize-clone: a model shell
-// holding only the state a finalize pass writes (allocateLocal), refilled by
-// syncPublishState each round.
-func (p *Publisher) ensureClone() {
-	if p.clone != nil {
-		return
-	}
-	m := p.src
+// newPublishClone allocates a finalize clone for src's shape: a model shell
+// holding only the state a finalize pass writes (allocateLocal), filled by
+// syncPublishState on every borrow.
+func newPublishClone(src *Model) *Model {
 	c := &Model{
-		cfg:        m.cfg,
-		numItems:   m.numItems,
-		numWorkers: m.numWorkers,
-		numLabels:  m.numLabels,
-		M:          m.M,
-		T:          m.T,
-		temp:       1,
+		numItems:   src.numItems,
+		numWorkers: src.numWorkers,
+		numLabels:  src.numLabels,
+		M:          src.M,
+		T:          src.T,
 	}
 	c.allocateLocal()
-	p.clone = c
+	return c
 }
 
 // syncPublishState brings the clone level with the live model. The clone
 // owns only what FinalizeOnline and ConsensusView write — κ, ϕ, ŷ, the
 // worker model, the hard signatures, the finalize scratch and the product
-// panels — and refills those retained buffers by copy. Everything else it
-// shares by reference: the interner, λ, ζ, the sticks, their expectations
-// and the score-panel cache with its transposed cube; the answer index is
-// shared structurally (chunks.go). Sharing is safe because the fitter
-// goroutine runs PartialFit and publication strictly in turn, and the
-// clone's one write to shared state, bringing panels current, is
-// value-transparent (panels.go). The clone takes the live expGen, so panels
-// already current are reused, and the ones the publication builds serve the
-// next round. Cost is O(items·T + workers·M): nothing scales with the
-// number of ingested answers, and no T×M×C cube is copied.
+// panels — and refills those buffers by copy. Everything else it shares by
+// reference: the interner, λ, ζ, the sticks, their expectations and the
+// score-panel cache; the answer index is shared structurally (chunks.go).
+// Sharing is safe because the fitter goroutine runs PartialFit and
+// publication strictly in turn, and the clone's one write to shared state,
+// bringing panels current, is value-transparent (panels.go). The clone
+// takes the live expGen, so panels already current are reused, and the
+// ones the publication builds serve the next round. Cost is O(items·T +
+// workers·M): nothing scales with the number of ingested answers, and no
+// T×M×C cube is copied.
 func (c *Model) syncPublishState(src *Model) {
 	// A window compaction (maybeCompactWindow) replaces the live interner
-	// wholesale, renumbering every set: the clone's id-keyed product panels
-	// would index a table they were never built against.
+	// wholesale, renumbering every set, and a pooled clone may come from
+	// another job (dropShared leaves it no interner): either way its
+	// id-keyed product panels would index a table they were never built
+	// against.
 	if c.intern != src.intern {
-		c.ws.prod = prodCache{buf: c.ws.prod.buf}
+		c.ws.prod.reset()
 	}
+	c.cfg = src.cfg
 	c.intern, c.panels, c.expGen = src.intern, src.panels, src.expGen
 	c.lambda, c.zeta, c.elogPsi, c.elogPhi = src.lambda, src.zeta, src.elogPsi, src.elogPhi
 	c.rho1, c.rho2, c.ups1, c.ups2 = src.rho1, src.rho2, src.ups1, src.ups2
@@ -208,6 +205,25 @@ func (c *Model) syncPublishState(src *Model) {
 	c.temp = src.temp
 }
 
+// dropShared clears every reference syncPublishState gave the clone into
+// the live model, so a pooled clone pins no job's state and the next
+// borrower, of any job, starts from its own.
+func (c *Model) dropShared() {
+	c.intern, c.panels = nil, nil
+	c.lambda, c.zeta, c.elogPsi, c.elogPhi = nil, nil, nil, nil
+	c.rho1, c.rho2, c.ups1, c.ups2 = nil, nil, nil, nil
+	c.elogPi, c.elogTau, c.expertCooc = nil, nil, nil
+	clear(c.perWorker)
+	clear(c.perItem)
+	c.arrival = nil
+	clear(c.revealedTruth)
+	clear(c.votedList)
+}
+
+// publishHook, when set, sees each full publication's clone before it goes
+// back to its pool. A test seam: set it while no model is in use.
+var publishHook func(c *Model)
+
 // publishParallelism is the shard count of every publication: all cores.
 // Publication sits on the critical path of consensus freshness, and the
 // block-order reductions of mat.Sharded make its output bit-identical for
@@ -215,15 +231,26 @@ func (c *Model) syncPublishState(src *Model) {
 // that knob steers fitting (PartialFit, Fit) only.
 func publishParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// publishFull syncs the clone and runs the legacy finalize pipeline on it,
-// with the clone's map and reduce steps on all cores.
+// publishFull borrows a clone, syncs it and runs the legacy finalize
+// pipeline on it, with the clone's map and reduce steps on all cores, then
+// gives the clone back. The view copies what it takes from the clone.
 func (p *Publisher) publishFull() (*ConsensusView, error) {
-	p.ensureClone()
-	p.clone.syncPublishState(p.src)
-	p.clone.cfg.Parallelism = publishParallelism()
+	src := p.src
+	k := src.shapeKey(0)
+	c := clonePool.get(k)
+	if c == nil {
+		c = newPublishClone(src)
+	}
+	c.syncPublishState(src)
+	c.cfg.Parallelism = publishParallelism()
 	p.cursor = 0
-	p.clone.FinalizeOnline()
-	view, err := p.clone.ConsensusView()
+	c.FinalizeOnline()
+	view, err := c.ConsensusView()
+	if publishHook != nil {
+		publishHook(c)
+	}
+	c.dropShared()
+	clonePool.put(k, c)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +289,7 @@ func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	for k, i := range dirty {
 		items[i] = ItemConsensus{
 			Labels:     preds[k].Slice(),
-			Candidates: append([]int(nil), src.votedList[i]...),
+			Candidates: src.sharedVoted(i),
 			Confidence: append([]float64(nil), src.yhatVals[i]...),
 		}
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -343,10 +346,10 @@ func sameLiveBits(t testing.TB, what string, want, got *Model) {
 // checkCloneShares asserts the publisher's finalize clone aliases the live
 // model's read-only globals and score-panel cache, owns private copies of
 // what finalize writes, and holds no training scratch or rng; and that the
-// live streaming model holds none of batch Fit's scratch.
-func checkCloneShares(t testing.TB, what string, pub *Publisher) {
+// live streaming model holds none of batch Fit's scratch. It runs at
+// publication time, before the clone goes back to its pool.
+func checkCloneShares(t testing.TB, what string, c, m *Model) {
 	t.Helper()
-	c, m := pub.clone, pub.src
 	if c.lambda != m.lambda || c.zeta != m.zeta || c.elogPsi != m.elogPsi || c.elogPhi != m.elogPhi ||
 		c.panels != m.panels || c.intern != m.intern {
 		t.Fatalf("%s: clone does not alias the live λ/ζ/elogPsi/elogPhi/panels/interner", what)
@@ -359,13 +362,34 @@ func checkCloneShares(t testing.TB, what string, pub *Publisher) {
 		t.Fatalf("%s: clone shares state that finalize writes", what)
 	}
 	ws := &c.ws
-	if c.rng != nil || ws.lambdaSuff != nil || ws.zetaSuff != nil || ws.colSumM != nil || ws.groupCount != nil ||
-		ws.freshK != nil || ws.oldK != nil || ws.freshT != nil || ws.oldT != nil ||
+	if c.rng != nil || ws.trainBufs != nil ||
 		ws.prevKappa != nil || ws.prevPhi != nil || ws.psiMean != nil || c.runTP != nil {
 		t.Fatalf("%s: clone holds training scratch, running SVI statistics or an rng", what)
 	}
 	if m.ws.prevKappa != nil || m.ws.prevPhi != nil || m.ws.psiMean != nil {
 		t.Fatalf("%s: streaming model holds batch Fit scratch", what)
+	}
+}
+
+// checkAtRest asserts that a model between calls holds no borrowed working
+// memory, and that a clone given back to its pool holds no reference into
+// the live model's storage.
+func checkAtRest(t testing.TB, what string, m, returned *Model) {
+	t.Helper()
+	if m.ws.trainBufs != nil || m.panels.psiT != nil {
+		t.Fatalf("%s: the live model kept its training scratch or transposed ψ cube", what)
+	}
+	if returned == nil {
+		t.Fatalf("%s: no finalize clone went back to its pool", what)
+	}
+	if returned.intern != nil || returned.panels != nil || returned.lambda != nil || returned.elogPsi != nil {
+		t.Fatalf("%s: the returned clone kept the live interner, panel cache or globals", what)
+	}
+	live := storageOf(m)
+	for addr := range storageOf(returned) {
+		if live[addr] {
+			t.Fatalf("%s: the returned clone still reaches live storage at %#x", what, addr)
+		}
 	}
 }
 
@@ -404,6 +428,22 @@ func TestPublishNeverPerturbsLiveFit(t *testing.T) {
 			live, bare := newModel(), newModel()
 			pub := NewPublisher(live)
 			compactions, fulls := 0, 0
+			var what string
+			var published, returned *Model
+			publishHook = func(c *Model) {
+				published = c
+				checkCloneShares(t, what, c, live)
+			}
+			prevPut := poolPutHook
+			poolPutHook = func(x any) {
+				if c, ok := x.(*Model); ok {
+					returned = c
+				}
+				if prevPut != nil {
+					prevPut(x)
+				}
+			}
+			t.Cleanup(func() { publishHook, poolPutHook = nil, prevPut })
 			for round, b := range ds.Batches(cfg.BatchSize) {
 				intern := live.intern
 				if err := live.PartialFit(b.Answers); err != nil {
@@ -416,14 +456,18 @@ func TestPublishNeverPerturbsLiveFit(t *testing.T) {
 					compactions++
 				}
 				full := round%3 == 0
+				what = fmt.Sprintf("round %d (full=%v)", round, full)
+				published, returned = nil, nil
 				if _, _, err := pub.Publish(full); err != nil {
 					t.Fatal(err)
 				}
-				what := fmt.Sprintf("round %d (full=%v)", round, full)
 				sameLiveBits(t, what, bare, live)
 				if full {
 					fulls++
-					checkCloneShares(t, what, pub)
+					if published == nil || returned != published {
+						t.Fatalf("%s: the published clone did not go back to its pool", what)
+					}
+					checkAtRest(t, what, live, returned)
 				}
 			}
 			if fulls < 5 {
@@ -499,5 +543,107 @@ func TestPublishAcrossWindowCompaction(t *testing.T) {
 	}
 	if compactedFull < 2 || incRounds < 5 {
 		t.Fatalf("%d full publications after a compaction, %d incremental rounds: too few to exercise the swap", compactedFull, incRounds)
+	}
+}
+
+// TestPublishedViewsShareVotedLists pins the views' shared voted lists: every view
+// keeps the Candidates it was published with while later rounds extend the
+// same items' voted lists, and the bits of every view and dirty set equal
+// those of the copying publisher this one replaced (the golden SHA-256s
+// were recorded from it). Topic and image, full and incremental rounds, an
+// expert matrix and a compacting AnswerWindow.
+func TestPublishedViewsShareVotedLists(t *testing.T) {
+	for _, tc := range []struct {
+		name, profile string
+		window        int
+		expert        bool
+		golden        string
+	}{
+		{name: "topic", profile: "topic"},
+		{name: "image", profile: "image"},
+		{name: "topic/expert", profile: "topic", expert: true},
+		{name: "image/window", profile: "image", window: 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := loadShuffled(t, tc.profile, 0.08, 19)
+			cfg := Config{Seed: 19, BatchSize: 64, AnswerWindow: tc.window}
+			m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.expert {
+				chainExpert(t, m)
+			}
+			pub := NewPublisher(m)
+			h := sha256.New()
+			var views []*ConsensusView
+			var copies [][][]int
+			extended, compactions := 0, 0
+			for round, b := range ds.Batches(cfg.BatchSize) {
+				before, intern := append([][]int(nil), m.votedList...), m.intern
+				if err := m.PartialFit(b.Answers); err != nil {
+					t.Fatal(err)
+				}
+				if m.intern != intern {
+					compactions++
+				}
+				for i := range before {
+					if round > 0 && len(m.votedList[i]) > len(before[i]) && len(before[i]) > 0 {
+						extended++
+					}
+				}
+				view, dirty, err := pub.Publish(round%3 == 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashView(h, view, dirty)
+				views = append(views, view)
+				cands := make([][]int, len(view.Items))
+				for i, it := range view.Items {
+					cands[i] = append([]int(nil), it.Candidates...)
+				}
+				copies = append(copies, cands)
+			}
+			for r, v := range views {
+				for i, it := range v.Items {
+					if !reflect.DeepEqual(copies[r][i], it.Candidates) {
+						t.Fatalf("round %d item %d: published candidates %v changed to %v", r, i, copies[r][i], it.Candidates)
+					}
+				}
+			}
+			if extended == 0 {
+				t.Fatal("no round extended a published item's voted list")
+			}
+			if tc.window > 0 && compactions < 2 {
+				t.Fatalf("AnswerWindow compacted %d times, want at least 2", compactions)
+			}
+			got := fmt.Sprintf("%x", h.Sum(nil))
+			t.Logf("%d views, %d voted-list extensions, sha256 %s", len(views), extended, got)
+			if want := viewGolden[tc.name]; got != want {
+				t.Fatalf("views hash %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// viewGolden holds the SHA-256 of TestPublishedViewsShareVotedLists' views and dirty
+// sets under the copying publisher (identical on the avx2 and scalar
+// kernels).
+var viewGolden = map[string]string{
+	"topic":        "ede6d32bbcdb4a4f5a7845de907c3774338dffeb477d6e02062bfedd039fd2fd",
+	"image":        "a871003e92923890bbfe14e302f527289e134f340fc847bac0f1d76e7e607cbc",
+	"topic/expert": "8869e3858bd1046c78e7c39d7d24407842cd97c7f0e71837dd13576fb2b26ee0",
+	"image/window": "f13f640e0694a7cd0ef29c97a34125934c7cb32c19d1e1813aeda48b3924ef80",
+}
+
+// hashView feeds a view and its dirty set to h: every label, candidate and
+// stat, and every confidence bit for bit.
+func hashView(h hash.Hash, v *ConsensusView, dirty []int) {
+	fmt.Fprintf(h, "%+v|%v|", v.Stats, dirty)
+	for _, it := range v.Items {
+		fmt.Fprintf(h, "%v|%v|", it.Labels, it.Candidates)
+		for _, c := range it.Confidence {
+			fmt.Fprintf(h, "%x,", math.Float64bits(c))
+		}
 	}
 }

@@ -77,7 +77,11 @@ func TestPublishBitIdenticalAcrossShardCounts(t *testing.T) {
 		procs, par int
 		model      *Model
 		pub        *Publisher
+		clone      *Model // a copy of the last full publication's clone
 	}
+	var published *Model
+	publishHook = func(c *Model) { published = c.Clone() }
+	t.Cleanup(func() { publishHook = nil })
 	var arms []*arm
 	for _, procs := range []int{1, 2} {
 		for _, par := range []int{1, 3, 8} {
@@ -106,6 +110,7 @@ func TestPublishBitIdenticalAcrossShardCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.clone = published
 			if a == ref {
 				refView = view
 				continue
@@ -113,7 +118,7 @@ func TestPublishBitIdenticalAcrossShardCounts(t *testing.T) {
 			what := fmt.Sprintf("round %d (full=%v) GOMAXPROCS=%d P=%d", round, full, a.procs, a.par)
 			sameViewBits(t, what, refView, view)
 			if full {
-				sameModelBits(t, what+" clone", ref.pub.clone, a.pub.clone)
+				sameModelBits(t, what+" clone", ref.clone, a.clone)
 			}
 		}
 	}

@@ -49,15 +49,19 @@ type ItemConsensus struct {
 	Labels []int
 	// Candidates lists the voted labels (sorted), Confidence the model's
 	// imputed truth probability ŷ for each (aligned with Candidates).
+	// Candidates is the model's own voted list, shared, not copied: the
+	// model only ever replaces an item's list, never writes into one, so a
+	// view's lists stay as published.
 	Candidates []int
 	Confidence []float64
 }
 
-// ConsensusView is an immutable export of the model's full consensus:
-// prediction, per-candidate confidences, and training stats. It shares no
-// storage with the model, so a fitting loop can build one per round and hand
-// it to concurrent readers (cpaserve publishes it behind an atomic pointer)
-// while training continues on the live model.
+// ConsensusView is a read-only export of the model's full consensus:
+// prediction, per-candidate confidences, and training stats. Readers must
+// not write into it. It shares only the voted lists with the model, which
+// training never mutates, so a fitting loop can build one per round and
+// hand it to concurrent readers (cpaserve publishes it behind an atomic
+// pointer) while training continues on the live model.
 type ConsensusView struct {
 	Items []ItemConsensus
 	Stats ModelStats
@@ -79,11 +83,21 @@ func (m *Model) ConsensusView() (*ConsensusView, error) {
 	for i := range view.Items {
 		view.Items[i] = ItemConsensus{
 			Labels:     pred[i].Slice(),
-			Candidates: append([]int(nil), m.votedList[i]...),
+			Candidates: m.sharedVoted(i),
 			Confidence: append([]float64(nil), m.yhatVals[i]...),
 		}
 	}
 	return view, nil
+}
+
+// sharedVoted returns item i's voted list for a view: nil when empty, as a
+// copy would be, and with its capacity clamped so an append by a reader
+// copies instead of writing past it.
+func (m *Model) sharedVoted(i int) []int {
+	if v := m.votedList[i]; len(v) > 0 {
+		return v[:len(v):len(v)]
+	}
+	return nil
 }
 
 // Config returns the model's effective configuration (defaults filled).

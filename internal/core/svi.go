@@ -123,6 +123,7 @@ func (m *Model) PartialFit(batch []answers.Answer) error {
 		return nil
 	}
 	ws := m.trainScratch()
+	defer m.releaseScratch()
 	// Validate and ingest, interning each answer's label set.
 	tuples := ws.batchAns[:0]
 	for _, a := range batch {
@@ -251,6 +252,7 @@ func (m *Model) FinalizeOnline() {
 	}
 	m.temp = 1
 	m.updateLocal()
+	m.releasePsiT() // only the local pass reads it
 	for pass := 0; pass < 3; pass++ {
 		m.updateReliability()
 		m.imputeTruth(nil)
