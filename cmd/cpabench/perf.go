@@ -56,6 +56,10 @@ type BenchRecord struct {
 	// RetainedBytes is the live heap a publish-full row's publisher holds
 	// (its finalize clone and last view); informational, never gated.
 	RetainedBytes int64 `json:"retained_bytes,omitempty"`
+	// ModelBytes is the live heap a publish-full row's model holds at rest
+	// (its parameters, answer index and label-set table), measured the same
+	// way after the publisher is dropped; informational, never gated.
+	ModelBytes int64 `json:"model_bytes,omitempty"`
 }
 
 // BenchReport is the envelope written by cpabench -json. CPU records the
@@ -315,7 +319,8 @@ func benchOne(method string, ds *answers.Dataset, s experiments.Settings, parall
 // across the two points is the O(batch) publication property the snapshot
 // engine guarantees (DESIGN.md §8). The publish-full rows measure the
 // caught-up full finalize pipeline at the same lengths for comparison
-// (O(stream) by construction), plus the heap the publisher retains.
+// (O(stream) by construction), plus the heap the publisher and the model
+// hold at rest.
 func benchPublish(ds *answers.Dataset, s experiments.Settings, parallelism int) ([]BenchRecord, error) {
 	const steadyRounds = 16
 	var out []BenchRecord
@@ -405,8 +410,11 @@ func benchPublish(ds *answers.Dataset, s experiments.Settings, parallelism int) 
 		withPub := heapLive()
 		runtime.KeepAlive(pub)
 		pub = nil
-		full.RetainedBytes = withPub - heapLive()
+		withModel := heapLive()
+		full.RetainedBytes = withPub - withModel
 		runtime.KeepAlive(model)
+		model = nil
+		full.ModelBytes = withModel - heapLive()
 		out = append(out, full)
 	}
 	return out, nil

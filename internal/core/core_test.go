@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"cpa/internal/answers"
 	"cpa/internal/datasets"
@@ -60,6 +62,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewModel(DefaultConfig(), 0, 1, 1); err == nil {
 		t.Error("zero items should fail")
+	}
+	// Answer references hold 32-bit item and worker indices.
+	huge := math.MaxInt32
+	huge++
+	if _, err := NewModel(DefaultConfig(), huge, 1, 1); !errors.Is(err, ErrConfig) {
+		t.Errorf("%d items: err %v, want ErrConfig", huge, err)
+	}
+	if _, err := NewModel(DefaultConfig(), 1, huge, 1); !errors.Is(err, ErrConfig) {
+		t.Errorf("%d workers: err %v, want ErrConfig", huge, err)
+	}
+}
+
+// TestAnswerRefsAre8Bytes pins the per-answer footprint: every answer costs
+// one ansRef in perWorker, one in perItem and one arrivalRef.
+func TestAnswerRefsAre8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ansRef{}); got != 8 {
+		t.Errorf("ansRef is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(arrivalRef{}); got != 8 {
+		t.Errorf("arrivalRef is %d bytes, want 8", got)
 	}
 }
 

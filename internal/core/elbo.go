@@ -28,7 +28,7 @@ func (m *Model) ELBO() float64 {
 	for i := 0; i < m.numItems; i++ {
 		phiRow := m.phi.Row(i)
 		m.perItem[i].each(func(ar ansRef) {
-			kappaRow := m.kappa.Row(ar.other)
+			kappaRow := m.kappa.Row(int(ar.other))
 			panel := m.scorePanel(ar.set)
 			var xs []int
 			if panel == nil {

@@ -178,7 +178,7 @@ func (m *Model) updateLambda() {
 				l := &m.perItem[i]
 				for s, n := 0, l.segs(); s < n; s++ {
 					for _, ar := range l.seg(s) {
-						m.lambdaAnswerStat(buf, i, ar.other, m.intern.Canon(ar.set))
+						m.lambdaAnswerStat(buf, i, int(ar.other), m.intern.Canon(ar.set))
 					}
 				}
 			}
@@ -555,7 +555,7 @@ func (m *Model) dataLogLik() float64 {
 				l := &m.perItem[i]
 				for s, sn := 0, l.segs(); s < sn; s++ {
 					for _, ar := range l.seg(s) {
-						kappaRow := m.kappa.Row(ar.other)
+						kappaRow := m.kappa.Row(int(ar.other))
 						var panel []float64
 						if pp != nil {
 							panel = pp.panel(ar.set, T*M)

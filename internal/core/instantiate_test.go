@@ -23,7 +23,7 @@ func (m *Model) predictWeightsReferee(i int, psiMAP []float64, pp *prodCache, sc
 		w := math.Log(math.Max(m.phi.At(i, t), 1e-300))
 		for s, sn := 0, ansL.segs(); s < sn; s++ {
 			for _, ar := range ansL.seg(s) {
-				kappaRow := m.kappa.Row(ar.other)
+				kappaRow := m.kappa.Row(int(ar.other))
 				inner := 0.0
 				var panel []float64
 				if pp != nil {

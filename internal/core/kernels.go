@@ -51,7 +51,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 	T, M := m.T, m.M
 	var scratch *panelScratch
 	for _, ar := range refs {
-		phiRow := m.phi.Row(ar.other)
+		phiRow := m.phi.Row(int(ar.other))
 		if panel := m.scorePanel(ar.set); panel != nil {
 			for t := 0; t < T; t++ {
 				pt := phiRow[t]
@@ -178,7 +178,7 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 	T, M := m.T, m.M
 	var scratch *panelScratch
 	for _, ar := range refs {
-		kappaRow := m.kappa.Row(ar.other)
+		kappaRow := m.kappa.Row(int(ar.other))
 		// All T cluster reductions share one κ row, so its floor structure
 		// is scanned once per answer (FloorGroups) and every reduction
 		// visits only the surviving 4-lane groups — bit-neutral by the
@@ -487,7 +487,7 @@ func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
 	nPos := m.ws.sigLen[i]
 	nNeg := len(m.votedList[i]) - nPos
 	for _, ar := range refs {
-		u := ar.other
+		u := int(ar.other)
 		kappaRow := m.kappa.Row(u)
 		// Count this answer's votes that land on positive / negative slots.
 		// Its labels are a subset of the voted list and the signature is
@@ -532,7 +532,7 @@ func (m *Model) workerAgreeStats(u int, buf []float64) {
 	l := &m.perWorker[u]
 	for s, sn := 0, l.segs(); s < sn; s++ {
 		for _, ar := range l.seg(s) {
-			agree += m.jaccardWithSig(ar.set, ar.other)
+			agree += m.jaccardWithSig(ar.set, int(ar.other))
 		}
 	}
 	n := l.Len()
@@ -556,7 +556,7 @@ func (m *Model) itemAgreeStats(i int, buf []float64) {
 	for s, sn := 0, l.segs(); s < sn; s++ {
 		for _, ar := range l.seg(s) {
 			a := m.jaccardWithSig(ar.set, i)
-			kappaRow := m.kappa.Row(ar.other)
+			kappaRow := m.kappa.Row(int(ar.other))
 			for mm, kw := range kappaRow {
 				if kw < respFloor {
 					continue

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -221,21 +222,23 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// ansRef is one answer in the model's dense internal form. The label set is
-// carried as an id into the model's label-set interner rather than an owned
-// slice: partial-agreement crowds reuse a small universe of answer sets, so
-// interning halves the reference size and gives every kernel O(1) access to
-// both the canonical sorted member slice (intern.Canon) and the bitset
-// membership test (intern.Contains), and lets the score-panel cache key
-// per-set work by id (panels.go).
+// ansRef is one answer in the model's dense internal form, 8 bytes. The
+// label set is carried as an id into the model's label-set interner rather
+// than an owned slice: partial-agreement crowds reuse a small universe of
+// answer sets, so interning gives every kernel O(1) access to both the
+// canonical sorted member slice (intern.Canon) and the bitset membership
+// test (intern.Contains), and lets the score-panel cache key per-set work
+// by id (panels.go). NewModel bounds items and workers by MaxInt32.
 type ansRef struct {
-	other int   // the item (in perWorker) or the worker (in perItem)
+	other int32 // the item (in perWorker) or the worker (in perItem)
 	set   int32 // interned label-set id of x_iu
 }
 
-// arrivalRef locates one ingested answer by arrival order: perItem[item][idx].
+// arrivalRef locates one ingested answer by arrival order:
+// perItem[item][idx], 8 bytes. NewModel bounds item; idx would pass
+// MaxInt32 only after one item took 2³¹ answers, 48 GiB of references.
 type arrivalRef struct {
-	item, idx int
+	item, idx int32
 }
 
 // Model holds the variational posterior of a CPA instance. Create with
@@ -253,7 +256,8 @@ type Model struct {
 
 	// intern is the label-set table every ansRef's set id points into.
 	// Append-only: ids are stable, canonical slices immutable, so clones
-	// share the table contents (Interner.Clone copies only the id map).
+	// share the arenas (Interner.Clone copies only the probe table and the
+	// counts).
 	intern *labelset.Interner
 	// expGen counts expectation refreshes; the score-panel cache
 	// (panels.go) is valid only for panels built at the current generation.
@@ -420,6 +424,9 @@ func NewModel(cfg Config, numItems, numWorkers, numLabels int) (*Model, error) {
 	}
 	if numItems <= 0 || numWorkers <= 0 || numLabels <= 0 {
 		return nil, fmt.Errorf("%w: dimensions %d/%d/%d", ErrConfig, numItems, numWorkers, numLabels)
+	}
+	if numItems > math.MaxInt32 || numWorkers > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d items, %d workers: answer references hold 32-bit indices", ErrConfig, numItems, numWorkers)
 	}
 	m := &Model{
 		cfg:        cfg,
@@ -699,18 +706,26 @@ func (m *Model) loadDataset(ds *answers.Dataset) error {
 // on. It returns the interned set id.
 func (m *Model) ingest(a answers.Answer) int32 {
 	id := m.intern.Intern(a.Labels)
-	if m.perWorker[a.Worker].empty() {
-		m.seenWorkers++
-	}
-	if m.perItem[a.Item].empty() {
-		m.seenItems++
-	}
-	m.perWorker[a.Worker].append(ansRef{other: a.Item, set: id})
-	m.perItem[a.Item].append(ansRef{other: a.Worker, set: id})
-	m.arrival = append(m.arrival, arrivalRef{item: a.Item, idx: m.perItem[a.Item].Len() - 1})
-	m.numAns++
+	m.store(a.Item, a.Worker, id)
 	m.totalAns++
 	return id
+}
+
+// store appends one interned answer to the answer index — both reference
+// lists and the arrival order — counting the worker and item it reveals.
+// Ingestion, window compaction and persistence restore all store through
+// it, so the three build identical element orders.
+func (m *Model) store(item, worker int, id int32) {
+	if m.perWorker[worker].empty() {
+		m.seenWorkers++
+	}
+	if m.perItem[item].empty() {
+		m.seenItems++
+	}
+	m.perWorker[worker].append(ansRef{other: int32(item), set: id})
+	m.perItem[item].append(ansRef{other: int32(worker), set: id})
+	m.arrival = append(m.arrival, arrivalRef{item: int32(item), idx: int32(m.perItem[item].Len() - 1)})
+	m.numAns++
 }
 
 // maybeCompactWindow enforces Config.AnswerWindow: once the retained stream
@@ -734,9 +749,9 @@ func (m *Model) maybeCompactWindow() {
 	workers := make([]int, len(keep))
 	labels := make([][]int, len(keep))
 	for k, at := range keep {
-		ref := m.perItem[at.item].at(at.idx)
-		items[k] = at.item
-		workers[k] = ref.other
+		ref := m.perItem[at.item].at(int(at.idx))
+		items[k] = int(at.item)
+		workers[k] = int(ref.other)
 		labels[k] = m.intern.Canon(ref.set)
 	}
 	// Rebind, never truncate in place: publisher clones and snapshots may
@@ -759,18 +774,7 @@ func (m *Model) maybeCompactWindow() {
 	// slot map would index past the rebuilt interner.
 	m.ws.prod.reset()
 	for k, item := range items {
-		id := m.intern.InternSlice(labels[k])
-		worker := workers[k]
-		if m.perItem[item].empty() {
-			m.seenItems++
-		}
-		if m.perWorker[worker].empty() {
-			m.seenWorkers++
-		}
-		m.perItem[item].append(ansRef{other: worker, set: id})
-		m.perWorker[worker].append(ansRef{other: item, set: id})
-		m.arrival = append(m.arrival, arrivalRef{item: item, idx: m.perItem[item].Len() - 1})
-		m.numAns++
+		m.store(item, workers[k], m.intern.InternSlice(labels[k]))
 	}
 }
 
@@ -960,8 +964,8 @@ func (m *Model) Fitted() bool { return m.fitted }
 func (m *Model) Clone() *Model {
 	c := *m
 	c.rng = rand.New(rand.NewSource(m.cfg.Seed + int64(m.batchIndex) + 1))
-	// The interner's id table is shared history; the clone gets its own id
-	// map so both sides can intern new sets independently. The panel cache
+	// The interner's arenas are shared history; the clone gets its own probe
+	// table so both sides can intern new sets independently. The panel cache
 	// is private per model (it aliases the model's own elogPsi): start empty.
 	c.intern = m.intern.Clone()
 	c.panels = &panelCache{disabled: m.panels.disabled}

@@ -89,9 +89,9 @@ func (m *Model) Save(w io.Writer) error {
 		TotalAns: m.totalAns,
 	}
 	for _, at := range m.arrival {
-		ref := m.perItem[at.item].at(at.idx)
-		st.AnsItems = append(st.AnsItems, at.item)
-		st.AnsWorkers = append(st.AnsWorkers, ref.other)
+		ref := m.perItem[at.item].at(int(at.idx))
+		st.AnsItems = append(st.AnsItems, int(at.item))
+		st.AnsWorkers = append(st.AnsWorkers, int(ref.other))
 		st.AnsLabels = append(st.AnsLabels, m.intern.Canon(ref.set))
 	}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
@@ -219,17 +219,7 @@ func Load(r io.Reader) (*Model, error) {
 		// stream live (ids are assigned first-seen, and the wire form
 		// preserves arrival order), so every id-keyed read — panels,
 		// membership tests — behaves bit-identically after a reload.
-		id := m.intern.InternSlice(st.AnsLabels[k])
-		if m.perItem[item].empty() {
-			m.seenItems++
-		}
-		if m.perWorker[worker].empty() {
-			m.seenWorkers++
-		}
-		m.perItem[item].append(ansRef{other: worker, set: id})
-		m.perWorker[worker].append(ansRef{other: item, set: id})
-		m.arrival = append(m.arrival, arrivalRef{item: item, idx: m.perItem[item].Len() - 1})
-		m.numAns++
+		m.store(item, worker, m.intern.InternSlice(st.AnsLabels[k]))
 	}
 	// Restore the monotone stream total; older files without the field fall
 	// back to the retained count, which was the total before windowing.

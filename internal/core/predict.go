@@ -205,7 +205,7 @@ func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predi
 	ansL := &m.perItem[i]
 	for s, sn := 0, ansL.segs(); s < sn; s++ {
 		for _, ar := range ansL.seg(s) {
-			kappaRow := m.kappa.Row(ar.other)
+			kappaRow := m.kappa.Row(int(ar.other))
 			act := sc.active[:0]
 			for mm, km := range kappaRow {
 				if km >= 1e-10 {

@@ -89,6 +89,49 @@ func TestPublishFullMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestPublishBatchFittedMatchesLegacy pins the state syncPublishState
+// copies for a model trained by batch Fit. FinalizeOnline is a no-op there,
+// so the view reads the clone's copied state — labelPrev included — as
+// synced, never rewritten. A streamed model of the same shape publishes
+// first, so the batch model's publication borrows the shell it gave back
+// to clonePool, with the streamed job's state still in its buffers.
+func TestPublishBatchFittedMatchesLegacy(t *testing.T) {
+	ds := publishStream(t, 51)
+	batch, err := NewModel(Config{Seed: 51}, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batch.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := NewModel(Config{Seed: 52, BatchSize: 64}, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.shapeKey(0) != stream.shapeKey(0) {
+		t.Fatal("the two models must share one clone shape")
+	}
+	for _, b := range ds.Shuffled(rand.New(rand.NewSource(52))).Batches(64) {
+		if err := stream.PartialFit(b.Answers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := NewPublisher(stream).Publish(true); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := NewPublisher(batch).Publish(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := batch.Clone()
+	legacy.FinalizeOnline()
+	want, err := legacy.ConsensusView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameView(t, 0, want, got)
+}
+
 // TestIncrementalPublishMatchesFullRebuild is the equivalence test of the
 // incremental engine: at every round of a long shuffled stream, each entry
 // the incremental publisher refreshed must be bit-identical to what a full

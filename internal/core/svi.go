@@ -96,7 +96,7 @@ func (g *batchGroups) group(tuples []batchAns, byWorker bool, count []int32) {
 		if byWorker {
 			k, other = t.worker, t.item
 		}
-		g.refs[count[k]] = ansRef{other: other, set: t.set}
+		g.refs[count[k]] = ansRef{other: int32(other), set: t.set}
 		count[k]++
 	}
 	for _, k := range g.keys {

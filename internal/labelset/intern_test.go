@@ -1,6 +1,11 @@
 package labelset
 
 import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -114,4 +119,132 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state Intern allocates %.1f times per call", allocs)
 	}
+}
+
+// refInterner is the string-keyed reference FuzzInterner holds the probe
+// table against: one map entry per distinct member list.
+type refInterner struct {
+	ids    map[string]int32
+	canon  [][]int
+	counts []int32
+}
+
+func newRefInterner() *refInterner { return &refInterner{ids: map[string]int32{}} }
+
+func (r *refInterner) intern(s Set) int32 {
+	xs := s.Slice()
+	k := fmt.Sprint(xs)
+	if id, ok := r.ids[k]; ok {
+		r.counts[id]++
+		return id
+	}
+	id := int32(len(r.canon))
+	r.ids[k] = id
+	r.canon = append(r.canon, xs)
+	r.counts = append(r.counts, 1)
+	return id
+}
+
+func (r *refInterner) clone() *refInterner {
+	return &refInterner{
+		ids:    maps.Clone(r.ids),
+		canon:  slices.Clone(r.canon),
+		counts: slices.Clone(r.counts),
+	}
+}
+
+// fuzzSet decodes one set from data: a header byte (member count in its
+// low three bits, a widening flag in bit 3) and one byte per member, so
+// members reach past one 64-bit word. A widened set carries trailing zero
+// words that must not change its identity.
+func fuzzSet(data []byte) (Set, []byte) {
+	if len(data) == 0 {
+		return Set{}, nil
+	}
+	hdr := data[0]
+	data = data[1:]
+	n := min(int(hdr&7), len(data))
+	s := New(0)
+	if hdr&8 != 0 {
+		s = New(320)
+	}
+	for _, b := range data[:n] {
+		s.Add(int(b))
+	}
+	return s, data[n:]
+}
+
+// sameAsRef checks every read of in against the reference.
+func sameAsRef(t *testing.T, what string, in *Interner, ref *refInterner) {
+	t.Helper()
+	if in.Len() != len(ref.canon) {
+		t.Fatalf("%s: Len %d, reference %d", what, in.Len(), len(ref.canon))
+	}
+	for id, want := range ref.canon {
+		id := int32(id)
+		if got := in.Canon(id); !slices.Equal(got, want) {
+			t.Fatalf("%s: Canon(%d) = %v, want %v", what, id, got, want)
+		}
+		if got := in.At(id).Slice(); !slices.Equal(got, want) {
+			t.Fatalf("%s: At(%d) = %v, want %v", what, id, got, want)
+		}
+		for c := -1; c <= 256; c++ {
+			if got := in.Contains(id, c); got != slices.Contains(want, c) {
+				t.Fatalf("%s: Contains(%d, %d) = %v for %v", what, id, c, got, want)
+			}
+		}
+		if got := in.Count(id); got != ref.counts[id] {
+			t.Fatalf("%s: Count(%d) = %d, want %d", what, id, got, ref.counts[id])
+		}
+	}
+}
+
+// FuzzInterner interns random set sequences into the probe table and into
+// a map-keyed reference and requires every read to agree. An op byte picks
+// the target: the source, or a clone taken mid-sequence, so a clone and its
+// source interning different new sets must not see each other's ids.
+func FuzzInterner(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 8, 0, 1, 0})                               // empty set, then the widened empty set
+	f.Add([]byte{0, 3, 1, 64, 200, 0, 11, 200, 64, 1, 2, 0})         // past 64 labels, then widened
+	f.Add([]byte{0, 1, 5, 1, 0, 0, 1, 6, 2, 1, 6, 2, 1, 7, 0, 1, 7}) // clone, then divergent growth
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, ref := NewInterner(), newRefInterner()
+		var cl *Interner
+		var clRef *refInterner
+		for len(data) > 0 {
+			op := data[0] % 3
+			var s Set
+			s, data = fuzzSet(data[1:])
+			switch {
+			case op == 1 && cl == nil:
+				cl, clRef = in.Clone(), ref.clone()
+			case op == 2 && cl != nil:
+				if got, want := cl.Intern(s), clRef.intern(s); got != want {
+					t.Fatalf("clone: Intern(%v) = %d, want %d", s, got, want)
+				}
+			default:
+				if got, want := in.Intern(s), ref.intern(s); got != want {
+					t.Fatalf("Intern(%v) = %d, want %d", s, got, want)
+				}
+			}
+		}
+		sameAsRef(t, "source", in, ref)
+		if cl != nil {
+			sameAsRef(t, "clone", cl, clRef)
+		}
+	})
+}
+
+// TestInternerArenaOffsetBound pins the clear panic an arena past int32
+// offsets raises, instead of wrapping its offsets.
+func TestInternerArenaOffsetBound(t *testing.T) {
+	if got := arenaOffset(math.MaxInt32); got != math.MaxInt32 {
+		t.Fatalf("arenaOffset(MaxInt32) = %d", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exceeds int32 offsets") {
+			t.Fatalf("arenaOffset past MaxInt32: recovered %v, want the offset panic", r)
+		}
+	}()
+	arenaOffset(math.MaxInt32 + 1)
 }

@@ -266,6 +266,7 @@ func TestHandlerCreateValidation(t *testing.T) {
 		{`{"id":"bad/slash","items":10,"workers":4,"labels":3}`, http.StatusBadRequest},
 		{`{"id":"` + strings.Repeat("x", 129) + `","items":10,"workers":4,"labels":3}`, http.StatusBadRequest},
 		{`{"id":"neg","items":-1,"workers":4,"labels":3}`, http.StatusBadRequest},
+		{`{"id":"huge","items":2147483648,"workers":4,"labels":3}`, http.StatusBadRequest},
 		{`{"id":"badmodel","items":10,"workers":4,"labels":3,"model":{"ForgettingRate":2}}`, http.StatusBadRequest},
 		{`{"id":"typo","items":10,"workers":4,"labels":3,"modle":{}}`, http.StatusBadRequest},
 		{`{broken`, http.StatusBadRequest},
