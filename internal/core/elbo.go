@@ -24,7 +24,7 @@ func (m *Model) ELBO() float64 {
 	// --- E[ln p(x | z, l, ψ)]: answers under community confusion, read from
 	// the per-set score panels where cached (bit-identical to answerScore).
 	m.ensureScorePanels()
-	defer m.releasePsiT()
+	defer m.releasePanelWork()
 	for i := 0; i < m.numItems; i++ {
 		phiRow := m.phi.Row(i)
 		m.perItem[i].each(func(ar ansRef) {

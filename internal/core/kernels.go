@@ -72,7 +72,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 			// the bits match both the panel path and the fallback. No
 			// intermediate panel row: a separate fill+add+AXPY sequence
 			// measured slower (three memory passes against one).
-			psiT := *m.panels.psiT
+			psiT := m.panels.work.psiT
 			TM := T * M
 			for t := 0; t < T; t++ {
 				pt := phiRow[t]
@@ -208,7 +208,7 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 			// for all four lanes of every surviving group while the scalar
 			// loop below touches only the live entries — measured ~2×
 			// slower there despite the vector width.
-			psiT := *m.panels.psiT
+			psiT := m.panels.work.psiT
 			TM := T * M
 			for t := 0; t < T; t++ {
 				base := t * M

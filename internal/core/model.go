@@ -262,9 +262,11 @@ type Model struct {
 	// expGen counts expectation refreshes; the score-panel cache
 	// (panels.go) is valid only for panels built at the current generation.
 	expGen uint64
-	// panels is the per-set T×M score-panel cache over elogPsi. A pointer:
-	// a Publisher's finalize clone shares the live model's cache, together
-	// with its elogPsi and expGen (publish.go); Clone gives a private one.
+	// panels is the per-set T×M score-panel cache over elogPsi: its slot
+	// bookkeeping is job state, the panels themselves are borrowed per
+	// call (panels.go). A pointer: a Publisher's finalize clone shares the
+	// live model's cache, together with its elogPsi and expGen
+	// (publish.go); Clone gives a private one.
 	panels *panelCache
 
 	// Observed data in dense form (populated by Fit or accumulated by
@@ -768,7 +770,7 @@ func (m *Model) maybeCompactWindow() {
 	m.intern = labelset.NewInterner()
 	// Reset in place: a publisher clone holding the same cache re-points at
 	// it, and at the new interner, on its next sync.
-	m.releasePsiT()
+	m.releasePanelWork()
 	*m.panels = panelCache{disabled: m.panels.disabled}
 	// The scratch product-panel cache is keyed by interned set id too; its
 	// slot map would index past the rebuilt interner.
@@ -1064,13 +1066,14 @@ func (m *Model) shapeKey(par int) shapeKey {
 }
 
 // releaseScratch ends a call's borrowing: the training scratch and the
-// transposed ψ cube go back to their pools.
+// panel work (the transposed ψ cube and the sum panels) go back to their
+// pools.
 func (m *Model) releaseScratch() {
 	if tb := m.ws.trainBufs; tb != nil {
 		m.ws.trainBufs = nil
 		trainPool.put(m.shapeKey(m.cfg.Parallelism), tb)
 	}
-	m.releasePsiT()
+	m.releasePanelWork()
 }
 
 // answerScore computes Σ_{c∈xs} elogPsi[t][m][c] for a given (t, m), the

@@ -28,10 +28,14 @@ import (
 //     SVI engine brings only the round's label sets current
 //     (ensureScorePanelsFor) — a PartialFit round scores just its
 //     mini-batch, so rebuilding the whole universe each round would cost
-//     O(distinct sets), not O(batch). A serving job holds one cache: the
-//     Publisher's clone shares the live model's cache, elogPsi and expGen,
-//     so a full publication brings every admitted panel current and the
-//     next round's sets are already built (DESIGN.md §9).
+//     O(distinct sets), not O(batch). The panels are per-call working
+//     memory: the first build of a call borrows them, with the transposed
+//     cube, as one panelWork from workPool, and the call (PartialFit, Fit,
+//     FinalizeOnline's local pass, ELBO) gives them back with every slot
+//     marked unbuilt. Only the slot bookkeeping — which sets are admitted,
+//     where, at which generation — is job state. A serving job holds one
+//     cache: the Publisher's clone shares the live model's cache, elogPsi
+//     and expGen (DESIGN.md §9).
 //
 //   - Product panels over a posterior-mean or MAP cube (prodCache, in
 //     workScratch): P[t·M+m] = Π_{c∈set} max(cube[t][m][c], 1e-12), used by
@@ -71,25 +75,37 @@ const (
 	prodPanelMinCount = 2
 )
 
-// panelCache is the generation-guarded sum-panel cache over elogPsi.
+// panelCache is the generation-guarded sum-panel cache over elogPsi. Its
+// slot bookkeeping (a few int32 per set) is job state; the panel contents
+// and the transposed cube they are filled from live in work, borrowed per
+// call.
 type panelCache struct {
-	slot    []int32   // set id → slot index, -1 when not admitted
-	ids     []int32   // slot → set id
-	gens    []uint64  // slot → expGen its contents were built from
-	buf     []float64 // slot-major [slots][T·M] panels
+	slot    []int32  // set id → slot index, -1 when not admitted
+	ids     []int32  // slot → set id
+	gens    []uint64 // slot → expGen its contents were built from
 	slots   int
 	scratch []int32 // stale-slot worklist reused across builds
-	// psiT is a column-major copy of the elogPsi body — psiT[c·TM+r] =
-	// elogPsi[r·C+c] — rebuilt once per expectation generation (psiTGen)
-	// when panels need filling. It turns each panel fill from |set|
-	// stride-C gather passes over the cube into |set| contiguous vector
-	// adds; the transpose itself is one O(TM·C) pass, amortised across
-	// every set built that generation. Borrowed from psiTPool by the first
-	// build of a call and given back when the call (PartialFit, Fit,
-	// FinalizeOnline) ends: nil between calls.
-	psiT     *[]float64
+	// work holds the call's panel working memory, borrowed from workPool
+	// by the first build of a call and given back, with every slot's
+	// generation cleared, when the call (PartialFit, Fit, FinalizeOnline's
+	// local pass, ELBO) ends: nil between calls, so no panel outlives its
+	// call. psiTGen is the generation work.psiT was transposed from, 0
+	// while work is nil.
+	work     *panelWork
 	psiTGen  uint64
 	disabled bool // test hook: force every kernel onto the scalar path
+}
+
+// panelWork is the sum-panel cache's per-call working memory, pooled as
+// one unit so a borrow or a return is one pool operation.
+type panelWork struct {
+	// psiT is a column-major copy of the elogPsi body — psiT[c·TM+r] =
+	// elogPsi[r·C+c] — rebuilt once per expectation generation (psiTGen).
+	// It turns each panel fill from |set| stride-C gather passes over the
+	// cube into |set| contiguous vector adds; the transpose itself is one
+	// O(TM·C) pass, amortised across every set built that generation.
+	psiT []float64
+	buf  []float64 // slot-major [slots][T·M] panels
 }
 
 // panelScratchPool recycles the score kernels' per-call gather-offset
@@ -99,9 +115,10 @@ type panelCache struct {
 var panelScratchPool sync.Pool
 
 // shapePool lends the working memory one call fully rewrites — a
-// publication's finalize clone, a training call's scratch, the transposed
-// ψ cube — across every model in the process (DESIGN.md §8, §9): one
-// sync.Pool per key, which holds every dimension that sizes the buffer.
+// publication's finalize clone, a training call's scratch, the panel work
+// — across every model in the process (DESIGN.md §8, §9): one sync.Pool
+// per key, which holds every dimension that sizes the buffer (the panel
+// work's buf is the one exception: each borrower extends it as needed).
 // One borrower holds a buffer at a time and gives it back with no
 // reference to its model's state, so jobs of one shape share working
 // memory and an idle job's goes to the GC.
@@ -113,7 +130,7 @@ type shapePool[K comparable, T any] struct {
 var (
 	clonePool shapePool[shapeKey, Model]
 	trainPool shapePool[shapeKey, trainBufs]
-	psiTPool  shapePool[int, []float64] // keyed by length T·M·C
+	workPool  shapePool[int, panelWork] // keyed by len(psiT) = T·M·C
 )
 
 // shapeKey holds the dimensions that size a clone or (with par) a
@@ -241,9 +258,12 @@ func (m *Model) buildPanelSlots(slots []int32) {
 	if len(slots) == 0 {
 		return
 	}
-	p := m.panels
-	n := p.slots * m.T * m.M
-	p.buf = slices.Grow(p.buf, n-len(p.buf))[:n]
+	w := m.panels.work
+	if n := m.panels.slots * m.T * m.M; n > len(w.buf) {
+		// A borrowed buffer may be longer than this model needs (another
+		// job's, or one from before a compaction): only extend.
+		w.buf = slices.Grow(w.buf, n-len(w.buf))[:n]
+	}
 	m.parallelFor(len(slots), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			m.fillScorePanel(int(slots[k]))
@@ -252,35 +272,40 @@ func (m *Model) buildPanelSlots(slots []int32) {
 }
 
 // ensurePsiT brings the transposed cube current with the expectations,
-// borrowing it first if the call holds none. Called from the serial
-// ensure* sync points (directly and via buildPanelSlots), so the parallel
-// panel fills and the score kernels' gather-sum fallbacks always read a
-// current psiT; scratchOffs still checks the generation to stay safe
-// outside that window.
+// borrowing the call's panel work first if it holds none. Called from the
+// serial ensure* sync points (directly and via buildPanelSlots), so the
+// parallel panel fills and the score kernels' gather-sum fallbacks always
+// read a current psiT; scratchOffs still checks the generation to stay
+// safe outside that window.
 func (m *Model) ensurePsiT() {
 	p := m.panels
-	if p.disabled || p.psiTGen == m.expGen { // psiTGen is 0 while psiT is nil
+	if p.disabled || p.psiTGen == m.expGen { // psiTGen is 0 while work is nil
 		return
 	}
-	if p.psiT == nil {
+	if p.work == nil {
 		n := m.T * m.M * m.numLabels
-		if p.psiT = psiTPool.get(n); p.psiT == nil {
-			buf := make([]float64, n)
-			p.psiT = &buf
+		if p.work = workPool.get(n); p.work == nil {
+			p.work = &panelWork{psiT: make([]float64, n)}
 		}
 	}
 	m.transposePsi()
 	p.psiTGen = m.expGen
 }
 
-// releasePsiT gives the transposed cube back to psiTPool. The next build
-// borrows and refills one: expectations refresh every round, so a cube
-// kept between calls would be stale anyway.
-func (m *Model) releasePsiT() {
-	if p := m.panels; p.psiT != nil {
-		psiTPool.put(len(*p.psiT), p.psiT)
-		p.psiT, p.psiTGen = nil, 0
+// releasePanelWork gives the call's panel work back to workPool and marks
+// every slot unbuilt, so no panel content outlives its call and the next
+// call's first build borrows and refills. Expectations refresh every
+// round, so panels kept between calls would mostly be stale anyway; the
+// exception, a full publication's panels at the next round's generation,
+// is rebuilt by that round for its own sets only.
+func (m *Model) releasePanelWork() {
+	p := m.panels
+	if p.work == nil {
+		return
 	}
+	clear(p.gens) // generation 0 is never current
+	workPool.put(len(p.work.psiT), p.work)
+	p.work, p.psiTGen = nil, 0
 }
 
 // transposePsi refreshes the column-major elogPsi copy the panel fills
@@ -291,7 +316,7 @@ func (m *Model) transposePsi() {
 	TM := m.T * m.M
 	C := m.numLabels
 	psi := m.elogPsi.Data()
-	psiT := *m.panels.psiT
+	psiT := m.panels.work.psiT
 	for r := 0; r < TM; r++ {
 		row := psi[r*C : (r+1)*C]
 		for c, v := range row {
@@ -311,8 +336,8 @@ func (m *Model) fillScorePanel(s int) {
 	p := m.panels
 	TM := m.T * m.M
 	canon := m.intern.Canon(p.ids[s])
-	dst := p.buf[s*TM : (s+1)*TM]
-	psiT := *p.psiT
+	dst := p.work.buf[s*TM : (s+1)*TM]
+	psiT := p.work.psiT
 	mathx.Fill(dst, 0)
 	for _, c := range canon {
 		mathx.AddStrided(dst, psiT[c*TM:(c+1)*TM], 1)
@@ -320,12 +345,12 @@ func (m *Model) fillScorePanel(s int) {
 }
 
 // scorePanel returns the set's T×M sum panel, or nil when the set has no
-// current-generation panel (not admitted, over budget, stale generation, or
-// cache disabled) — the caller then takes the scalar answerScore path,
-// which produces identical bits.
+// current-generation panel (not admitted, over budget, stale generation,
+// no panel work held, or cache disabled) — the caller then takes the
+// fallback path, which produces identical bits.
 func (m *Model) scorePanel(id int32) []float64 {
 	p := m.panels
-	if p.disabled || int(id) >= len(p.slot) {
+	if p.disabled || p.work == nil || int(id) >= len(p.slot) {
 		return nil
 	}
 	s := p.slot[id]
@@ -333,7 +358,7 @@ func (m *Model) scorePanel(id int32) []float64 {
 		return nil
 	}
 	TM := m.T * m.M
-	return p.buf[int(s)*TM : (int(s)+1)*TM]
+	return p.work.buf[int(s)*TM : (int(s)+1)*TM]
 }
 
 // scratchOffs hands the score kernels a pool-recycled n-length offset

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -226,5 +227,105 @@ func TestScorePanelStaleGenerationNeverServed(t *testing.T) {
 	canon := m.intern.Canon(admitted)
 	if got, want := panel[0], m.answerScore(0, 0, canon); got != want {
 		t.Fatalf("rebuilt panel[0] = %v, want fresh answerScore %v", got, want)
+	}
+}
+
+// TestModelAtRestHoldsNoPanelBuffer pins the sum panels as per-call working
+// memory: after PartialFit (window compactions included), a full and an
+// incremental publication, batch Fit and ELBO, the model holds no
+// panelWork, every slot reads unbuilt, and scorePanel serves nothing even
+// at the generation the panels were built at. It also holds a steady
+// PartialFit round to 40 allocations: the pool unit is pointer-held, so
+// borrowing and returning it allocate nothing.
+func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
+	returned := 0
+	prevPut := poolPutHook
+	poolPutHook = func(x any) {
+		if _, ok := x.(*panelWork); ok {
+			returned++
+		}
+		if prevPut != nil {
+			prevPut(x)
+		}
+	}
+	t.Cleanup(func() { poolPutHook = prevPut })
+	atRest := func(what string, m *Model, borrowed bool) {
+		t.Helper()
+		p := m.panels
+		if p.work != nil || p.psiTGen != 0 {
+			t.Fatalf("%s: the model holds its panel work at rest", what)
+		}
+		if borrowed && returned == 0 {
+			t.Fatalf("%s: no panel work went back to its pool", what)
+		}
+		returned = 0
+		for s, g := range p.gens {
+			if g != 0 {
+				t.Fatalf("%s: slot %d still reads built at generation %d", what, s, g)
+			}
+		}
+		for s, id := range p.ids {
+			if m.scorePanel(id) != nil {
+				t.Fatalf("%s: slot %d served a panel with no panel work held", what, s)
+			}
+		}
+	}
+
+	ds := loadShuffled(t, "image", 0.08, 11)
+	cfg := Config{Seed: 11, BatchSize: 64, AnswerWindow: 256}
+	m, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := NewPublisher(m)
+	compactions, maxSlots := 0, 0
+	for round, b := range ds.Batches(cfg.BatchSize) {
+		intern := m.intern
+		if err := m.PartialFit(b.Answers); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("round %d PartialFit", round)
+		if m.intern != intern {
+			compactions++
+			what += " (window compaction)"
+		}
+		maxSlots = max(maxSlots, m.panels.slots)
+		atRest(what, m, true)
+		full := round%2 == 0
+		if _, _, err := pub.Publish(full); err != nil {
+			t.Fatal(err)
+		}
+		// An incremental publication reads no panel; a full one builds
+		// every admitted panel in the shared cache and gives them back.
+		atRest(fmt.Sprintf("round %d Publish(%v)", round, full), m, full)
+	}
+	if compactions < 2 {
+		t.Fatalf("AnswerWindow compacted %d times, want at least 2", compactions)
+	}
+	if maxSlots == 0 {
+		t.Fatal("no panels admitted: the cache went unexercised")
+	}
+	m.ELBO()
+	atRest("streamed ELBO", m, true)
+
+	fit, err := NewModel(Config{Seed: 11, MaxIter: 5}, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fit.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	if fit.panels.slots == 0 {
+		t.Fatal("batch Fit admitted no panels")
+	}
+	atRest("batch Fit", fit, true)
+	fit.ELBO()
+	atRest("batch ELBO", fit, true)
+
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under -race
+	}
+	if allocs := steadyPartialFitAllocs(t); allocs > 40 {
+		t.Errorf("steady-state PartialFit allocates %.1f times per round, want <= 40", allocs)
 	}
 }

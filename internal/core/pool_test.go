@@ -87,9 +87,10 @@ func fillRaw[T any](p unsafe.Pointer, n int, v T) {
 
 // TestPoolHygiene reruns the publication and fitting referees with every
 // buffer poisoned as it goes back to its pool: the finalize clone, the
-// training scratch and the transposed ψ cube. A borrower that reads pooled
-// memory before writing it, or a returned buffer that still reaches a live
-// model, then changes bits the referees pin.
+// training scratch and the panel work (the transposed ψ cube and the
+// sum-panel buffer). A borrower that reads pooled memory before writing
+// it, or a returned buffer that still reaches a live model, then changes
+// bits the referees pin.
 func TestPoolHygiene(t *testing.T) {
 	poolPutHook = poison
 	t.Cleanup(func() { poolPutHook = nil })

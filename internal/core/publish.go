@@ -149,8 +149,8 @@ func newPublishClone(src *Model) *Model {
 // Sharing is safe because the fitter goroutine runs PartialFit and
 // publication strictly in turn, and the clone's one write to shared state,
 // bringing panels current, is value-transparent (panels.go). The clone
-// takes the live expGen, so panels already current are reused, and the
-// ones the publication builds serve the next round. Cost is O(items·T +
+// takes the live expGen, and the panels its local pass builds go back to
+// the pool with the panel work when that pass ends. Cost is O(items·T +
 // workers·M): nothing scales with the number of ingested answers, and no
 // T×M×C cube is copied.
 func (c *Model) syncPublishState(src *Model) {

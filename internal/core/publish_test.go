@@ -419,8 +419,8 @@ func checkCloneShares(t testing.TB, what string, c, m *Model) {
 // the live model's storage.
 func checkAtRest(t testing.TB, what string, m, returned *Model) {
 	t.Helper()
-	if m.ws.trainBufs != nil || m.panels.psiT != nil {
-		t.Fatalf("%s: the live model kept its training scratch or transposed ψ cube", what)
+	if m.ws.trainBufs != nil || m.panels.work != nil {
+		t.Fatalf("%s: the live model kept its training scratch or panel work", what)
 	}
 	if returned == nil {
 		t.Fatalf("%s: no finalize clone went back to its pool", what)

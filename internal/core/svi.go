@@ -252,7 +252,7 @@ func (m *Model) FinalizeOnline() {
 	}
 	m.temp = 1
 	m.updateLocal()
-	m.releasePsiT() // only the local pass reads it
+	m.releasePanelWork() // only the local pass reads it
 	for pass := 0; pass < 3; pass++ {
 		m.updateReliability()
 		m.imputeTruth(nil)

@@ -17,6 +17,18 @@ import (
 // per-shard slices creep back in (the pre-refactor code allocated several
 // hundred per round).
 func TestPartialFitSteadyStateAllocs(t *testing.T) {
+	allocs := steadyPartialFitAllocs(t)
+	const maxAllocs = 64
+	if allocs > maxAllocs {
+		t.Errorf("steady-state PartialFit allocates %.1f times per round, want <= %d", allocs, maxAllocs)
+	}
+	t.Logf("steady-state PartialFit: %.1f allocs/round", allocs)
+}
+
+// steadyPartialFitAllocs streams a dataset once, then returns the
+// allocations per PartialFit round of one repeated batch.
+func steadyPartialFitAllocs(t *testing.T) float64 {
+	t.Helper()
 	ds, _, err := datasets.Load("image", 0.2, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +43,9 @@ func TestPartialFitSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := ds.Answers()[:128]
-	allocs := testing.AllocsPerRun(40, func() {
+	return testing.AllocsPerRun(40, func() {
 		if err := m.PartialFit(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const maxAllocs = 64
-	if allocs > maxAllocs {
-		t.Errorf("steady-state PartialFit allocates %.1f times per round, want <= %d", allocs, maxAllocs)
-	}
-	t.Logf("steady-state PartialFit: %.1f allocs/round", allocs)
 }

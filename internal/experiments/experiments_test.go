@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -190,4 +191,41 @@ func TestRunFig9Communities(t *testing.T) {
 			t.Errorf("detected communities %s outside sweep", row[3])
 		}
 	}
+}
+
+// TestTable5OnlineTracksOffline pins the paper's Table 5 claim at Quick()
+// scale: single-pass online inference over shuffled arrivals reaches close
+// to the offline batch fit. For every profile, online precision and recall
+// must each lie within 0.10 of offline.
+func TestTable5OnlineTracksOffline(t *testing.T) {
+	r, err := RunTable5OnlineAccuracy(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 5 {
+		t.Fatalf("table5 rows = %d", len(r.Rows))
+	}
+	// Online cells read "mean ±std", offline cells the bare mean.
+	cell := func(row []string, k int) float64 {
+		t.Helper()
+		f := strings.Fields(row[k])
+		if len(f) == 0 {
+			t.Fatalf("%s: empty %s cell", row[0], r.Headers[k])
+		}
+		v, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			t.Fatalf("%s: %s cell %q: %v", row[0], r.Headers[k], row[k], err)
+		}
+		return v
+	}
+	const margin = 0.10
+	for _, row := range r.Rows {
+		for _, k := range []int{1, 3} { // online P vs offline P, online R vs offline R
+			on, off := cell(row, k), cell(row, k+1)
+			if math.Abs(on-off) > margin {
+				t.Errorf("%s: %s %.3f vs %s %.3f, gap above %.2f", row[0], r.Headers[k], on, r.Headers[k+1], off, margin)
+			}
+		}
+	}
+	t.Logf("\n%s", r.RenderASCII())
 }

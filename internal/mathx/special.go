@@ -97,17 +97,6 @@ func LogFactorial(n int) float64 {
 	return LogGamma(float64(n) + 1)
 }
 
-// LogSumExp2 returns ln(exp(a) + exp(b)) computed stably.
-func LogSumExp2(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // SoftmaxInPlace exponentiates-and-normalises the log weights in v so they
 // form a probability vector, working in place. If every entry is -Inf the
 // result is the uniform distribution, which is the harmless choice for a

@@ -153,18 +153,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestLogSumExp2MatchesSlice(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 500 || math.Abs(b) > 500 {
-			return true
-		}
-		return almostEqual(LogSumExp2(a, b), LogSumExp([]float64{a, b}), 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSoftmaxInPlace(t *testing.T) {
 	v := []float64{math.Log(1), math.Log(2), math.Log(7)}
 	SoftmaxInPlace(v)
