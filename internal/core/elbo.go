@@ -32,7 +32,8 @@ func (m *Model) ELBO() float64 {
 			panel := m.scorePanel(ar.set)
 			var xs []int
 			if panel == nil {
-				xs = m.intern.Canon(ar.set)
+				m.ws.canon = m.intern.AppendCanon(m.ws.canon[:0], ar.set)
+				xs = m.ws.canon
 			}
 			for t := 0; t < T; t++ {
 				pt := phiRow[t]

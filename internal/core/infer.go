@@ -174,14 +174,16 @@ func (m *Model) updateLambda() {
 	suff := m.trainScratch().lambdaSuff
 	m.accLambda.Accumulate(suff, 0, len(suff), m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
+			var scratch *panelScratch
 			for i := lo; i < hi; i++ {
 				l := &m.perItem[i]
 				for s, n := 0, l.segs(); s < n; s++ {
 					for _, ar := range l.seg(s) {
-						m.lambdaAnswerStat(buf, i, int(ar.other), m.intern.Canon(ar.set))
+						m.lambdaAnswerStat(buf, i, int(ar.other), m.canonScratch(&scratch, ar.set))
 					}
 				}
 			}
+			m.putScratchPanel(scratch)
 		})
 	applyDirichlet(m.lambda.Data(), suff, m.cfg.GammaPrior, 1, 1)
 }
@@ -408,14 +410,13 @@ func (m *Model) imputeItem(i int) {
 			for _, ar := range l.seg(s) {
 				w := m.workerRelW[ar.other]
 				denom += w
-				// Both slices are sorted: advance a cursor instead of a
-				// binary search per label.
-				k := 0
-				for _, c := range m.intern.Canon(ar.set) {
-					for voted[k] < c {
-						k++
+				// The answer's labels are a subset of the voted list:
+				// one bit test per voted label finds them.
+				ans := m.intern.At(ar.set)
+				for k, c := range voted {
+					if ans.Contains(c) {
+						vals[k] += w
 					}
-					vals[k] += w
 				}
 			}
 		}
@@ -478,19 +479,15 @@ func (m *Model) imputeItem(i int) {
 		vals[k] = 1 / (1 + math.Exp(-mathx.Clamp(logOdds, -30, 30)))
 	}
 	if !expert {
-		// Two-coin votes, answer-major: each answer's sorted labels are
-		// merged against the sorted voted list once, and every label still
-		// adds its terms in answer order.
+		// Two-coin votes, answer-major: each voted label is one bit test
+		// against the answer's set, and every label still adds its terms
+		// in answer order.
 		for s, sn := 0, l.segs(); s < sn; s++ {
 			for _, ar := range l.seg(s) {
 				vote, miss := m.voteLW[ar.other], m.missLW[ar.other]
-				xs := m.intern.Canon(ar.set)
-				j := 0
+				ans := m.intern.At(ar.set)
 				for k, c := range voted {
-					for j < len(xs) && xs[j] < c {
-						j++
-					}
-					if j < len(xs) && xs[j] == c {
+					if ans.Contains(c) {
 						vals[k] += vote
 					} else {
 						vals[k] += miss
@@ -549,6 +546,7 @@ func (m *Model) dataLogLik() float64 {
 	var total [1]float64
 	m.accLogLik.Accumulate(total[:], 0, 1, m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
+			var scratch *panelScratch
 			sum := 0.0
 			for i := lo; i < hi; i++ {
 				phiRow := m.phi.Row(i)
@@ -578,7 +576,7 @@ func (m *Model) dataLogLik() float64 {
 								lik += pt * inner
 							}
 						} else {
-							xs := m.intern.Canon(ar.set)
+							xs := m.canonScratch(&scratch, ar.set)
 							for t := 0; t < T; t++ {
 								pt := phiRow[t]
 								if pt < 1e-10 {
@@ -612,6 +610,7 @@ func (m *Model) dataLogLik() float64 {
 					}
 				}
 			}
+			m.putScratchPanel(scratch)
 			buf[0] += sum
 		})
 	return total[0]

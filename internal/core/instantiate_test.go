@@ -38,7 +38,7 @@ func (m *Model) predictWeightsReferee(i int, psiMAP []float64, pp *prodCache, sc
 						inner += km * row[mm]
 					}
 				} else {
-					xs := m.intern.Canon(ar.set)
+					xs := m.intern.AppendCanon(nil, ar.set)
 					tBase := t * M * C
 					for mm := 0; mm < M; mm++ {
 						km := kappaRow[mm]

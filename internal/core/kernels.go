@@ -62,7 +62,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 			}
 			continue
 		}
-		xs := m.intern.Canon(ar.set)
+		xs := m.canonScratch(&scratch, ar.set)
 		if offs := m.scratchOffs(&scratch, len(xs)); offs != nil {
 			// No cached slot: one fused gather-sum pass per surviving
 			// cluster straight off the transposed cube — the kernel sums
@@ -172,8 +172,9 @@ func (m *Model) scorePhiBase(i int, dst []float64) {
 // scorePhiRefs accumulates the Appendix C answer-evidence term a_it for one
 // contiguous answer segment into dst, scaled like the κ data term
 // (DESIGN.md D1). With a cached panel each cluster's community reduction is
-// a floored dot over one contiguous panel row, bit-identical to the scalar
-// skip-loop fallback.
+// a floored dot over one contiguous panel row — or, when at most two κ
+// entries pass the floor, the sum of their two products (sparseDot) —
+// bit-identical to the scalar skip-loop fallback.
 func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 	T, M := m.T, m.M
 	var scratch *panelScratch
@@ -186,12 +187,24 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 		// κ rows, where T full-width floor scans per answer would dwarf
 		// the surviving work.
 		if panel := m.scorePanel(ar.set); panel != nil {
+			if a, b, n := sparseSurvivors(kappaRow); n <= 2 {
+				// At most two κ entries pass the floor: every other
+				// entry adds +0.0, so each reduction is the sum of at
+				// most two products, which rounds once in any lane
+				// layout — (+0 + κ_a·P_a) + κ_b·P_b is FlooredDot's
+				// result bit for bit (the leading +0 turns a lone −0
+				// product into +0, as the lane accumulators do).
+				for t := 0; t < T; t++ {
+					dst[t] += scale * sparseDot(kappaRow, panel[t*M:t*M+M], a, b, n)
+				}
+				continue
+			}
 			for t := 0; t < T; t++ {
 				dst[t] += scale * mat.FlooredDot(kappaRow, panel[t*M:t*M+M], respFloor)
 			}
 			continue
 		}
-		xs := m.intern.Canon(ar.set)
+		xs := m.canonScratch(&scratch, ar.set)
 		offs := m.scratchOffs(&scratch, len(xs))
 		if offs == nil {
 			m.poolOffs(&scratch, len(xs)) // groups scratch for the scalar path
@@ -275,6 +288,40 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 		}
 	}
 	m.putScratchPanel(scratch)
+}
+
+// sparseSurvivors returns the indices a < b of w's entries at or above
+// respFloor and their count n when n ≤ 2; for denser rows it returns
+// n = 3 as soon as a third survivor shows.
+func sparseSurvivors(w []float64) (a, b, n int) {
+	for i, v := range w {
+		if v < respFloor {
+			continue
+		}
+		switch n {
+		case 0:
+			a = i
+		case 1:
+			b = i
+		default:
+			return a, b, 3
+		}
+		n++
+	}
+	return a, b, n
+}
+
+// sparseDot is mat.FlooredDot(w, x, respFloor) for a row whose entries at
+// or above the floor are the n ≤ 2 listed by sparseSurvivors.
+func sparseDot(w, x []float64, a, b, n int) float64 {
+	sum := 0.0
+	if n > 0 {
+		sum += float64(w[a] * x[a])
+	}
+	if n > 1 {
+		sum += float64(w[b] * x[b])
+	}
+	return sum
 }
 
 // lambdaAnswerStat adds one answer's Eq. 6 sufficient statistic into buf
@@ -428,8 +475,9 @@ func (m *Model) refreshHardSig(items []int) {
 // convention for unanswerable comparisons). Both sides are bitsets, so the
 // intersection is a word-wise popcount instead of a per-label walk.
 func (m *Model) jaccardWithSig(set int32, i int) float64 {
-	inter := m.intern.At(set).IntersectLen(m.ws.sigSet[i])
-	union := len(m.intern.Canon(set)) + m.ws.sigLen[i] - inter
+	ans := m.intern.At(set)
+	inter := ans.IntersectLen(m.ws.sigSet[i])
+	union := ans.Len() + m.ws.sigLen[i] - inter
 	if union > 0 {
 		return float64(inter) / float64(union)
 	}
@@ -493,8 +541,9 @@ func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
 		// Its labels are a subset of the voted list and the signature is
 		// exactly the positive slots, so one popcount of answer ∩ signature
 		// counts the positive votes.
-		nTP := m.intern.At(ar.set).IntersectLen(sig)
-		nFP := len(m.intern.Canon(ar.set)) - nTP
+		ans := m.intern.At(ar.set)
+		nTP := ans.IntersectLen(sig)
+		nFP := ans.Len() - nTP
 		buf[offTPDU+u] += float64(nPos)
 		buf[offTPU+u] += float64(nTP)
 		buf[offFPDU+u] += float64(nNeg)

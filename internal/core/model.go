@@ -225,10 +225,11 @@ func (c *Config) validate() error {
 // ansRef is one answer in the model's dense internal form, 8 bytes. The
 // label set is carried as an id into the model's label-set interner rather
 // than an owned slice: partial-agreement crowds reuse a small universe of
-// answer sets, so interning gives every kernel O(1) access to both the
-// canonical sorted member slice (intern.Canon) and the bitset membership
-// test (intern.Contains), and lets the score-panel cache key per-set work
-// by id (panels.go). NewModel bounds items and workers by MaxInt32.
+// answer sets, so interning gives every kernel the set's bitset for O(1)
+// membership tests and popcount sizes (intern.At, intern.Size), its
+// members expanded in canonical order into caller scratch
+// (intern.AppendCanon), and lets the score-panel cache key per-set work by
+// id (panels.go). NewModel bounds items and workers by MaxInt32.
 type ansRef struct {
 	other int32 // the item (in perWorker) or the worker (in perItem)
 	set   int32 // interned label-set id of x_iu
@@ -255,9 +256,9 @@ type Model struct {
 	rng *rand.Rand
 
 	// intern is the label-set table every ansRef's set id points into.
-	// Append-only: ids are stable, canonical slices immutable, so clones
-	// share the arenas (Interner.Clone copies only the probe table and the
-	// counts).
+	// Append-only: ids are stable, interned bitsets immutable, so clones
+	// share the word arena (Interner.Clone copies only the probe table and
+	// the counts).
 	intern *labelset.Interner
 	// expGen counts expectation refreshes; the score-panel cache
 	// (panels.go) is valid only for panels built at the current generation.
@@ -388,6 +389,7 @@ type workScratch struct {
 	prevLogOdd []float64      // C: ln prevClamp_c − ln(1 − prevClamp_c)
 	phiMAP     []float64      // T×C emission modes (Predict)
 	prior      []float64      // C×T capped cluster priors (clusterPriorsInto)
+	canon      []int          // one answer's members on serial paths (AppendCanon)
 	sigLen     []int          // per item: hardened-signature size
 	sigSet     []labelset.Set // per item: the signature as a bitset (lazily allocated)
 	prevKappa  *mat.Dense     // convergence snapshots (Fit)
@@ -414,8 +416,7 @@ type trainBufs struct {
 	oldK        *mat.Dense
 	freshT      *mat.Dense // Parallelism × T
 	oldT        *mat.Dense
-	mergeA      []int // extendVoted sorted-union double buffers
-	mergeB      []int
+	voted       labelset.Set // extendVoted's union scratch
 }
 
 // NewModel allocates a CPA model for the given problem dimensions.
@@ -640,7 +641,8 @@ func (m *Model) seedFromData() {
 				for _, c := range signatures[ar.other] {
 					member[c] = true
 				}
-				labels := m.intern.Canon(ar.set)
+				m.ws.canon = m.intern.AppendCanon(m.ws.canon[:0], ar.set)
+				labels := m.ws.canon
 				inter := 0
 				for _, c := range labels {
 					if member[c] {
@@ -747,14 +749,12 @@ func (m *Model) maybeCompactWindow() {
 		return
 	}
 	keep := m.arrival[len(m.arrival)-w:]
-	items := make([]int, len(keep))
-	workers := make([]int, len(keep))
-	labels := make([][]int, len(keep))
+	items := make([]int32, len(keep))
+	workers := make([]int32, len(keep))
+	sets := make([]int32, len(keep))
 	for k, at := range keep {
 		ref := m.perItem[at.item].at(int(at.idx))
-		items[k] = int(at.item)
-		workers[k] = int(ref.other)
-		labels[k] = m.intern.Canon(ref.set)
+		items[k], workers[k], sets[k] = at.item, ref.other, ref.set
 	}
 	// Rebind, never truncate in place: publisher clones and snapshots may
 	// still hold shared views of the old chunks, arrival array, and interner.
@@ -767,6 +767,7 @@ func (m *Model) maybeCompactWindow() {
 	m.arrival = nil
 	m.numAns = 0
 	m.seenWorkers, m.seenItems = 0, 0
+	old := m.intern
 	m.intern = labelset.NewInterner()
 	// Reset in place: a publisher clone holding the same cache re-points at
 	// it, and at the new interner, on its next sync.
@@ -776,7 +777,7 @@ func (m *Model) maybeCompactWindow() {
 	// slot map would index past the rebuilt interner.
 	m.ws.prod.reset()
 	for k, item := range items {
-		m.store(item, workers[k], m.intern.InternSlice(labels[k]))
+		m.store(int(item), int(workers[k]), m.intern.Intern(old.At(sets[k])))
 	}
 }
 
@@ -786,9 +787,7 @@ func (m *Model) rebuildVoted() {
 	for i := 0; i < m.numItems; i++ {
 		var s labelset.Set
 		m.perItem[i].each(func(ar ansRef) {
-			for _, c := range m.intern.Canon(ar.set) {
-				s.Add(c)
-			}
+			s.UnionWith(m.intern.At(ar.set))
 		})
 		for _, c := range m.revealedTruth[i] {
 			s.Add(c)

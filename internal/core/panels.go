@@ -43,8 +43,8 @@ import (
 //     changes per call, so these are rebuilt by buildProductPanels at each
 //     call site and valid only until the next build.
 //
-// Bit-exactness: panels accumulate over the canonical sorted member slice
-// in order — exactly answerScore's (and the legacy product loops')
+// Bit-exactness: panels accumulate over the set's members in canonical
+// (ascending) order — exactly answerScore's (and the legacy product loops')
 // float-operation order — so a kernel reading a panel produces the same
 // bits as the scalar fallback it replaces. Cache admission is therefore
 // value-transparent: any set without a panel (below the reuse threshold,
@@ -326,8 +326,8 @@ func (m *Model) transposePsi() {
 }
 
 // fillScorePanel computes slot s's panel: for every row r of the elogPsi
-// cube, the sum over the set's canonical members in canonical order (the
-// answerScore order — the bit-exactness contract). The fill reads the
+// cube, the sum over the set's members in canonical (ascending) order —
+// the answerScore order, the bit-exactness contract. The fill reads the
 // transposed cube (psiT, refreshed by buildPanelSlots): one contiguous
 // vector-add pass per member, so dst[r] accumulates the members in exactly
 // the canonical order answerScore uses — the loop interchange moves zero
@@ -335,13 +335,13 @@ func (m *Model) transposePsi() {
 func (m *Model) fillScorePanel(s int) {
 	p := m.panels
 	TM := m.T * m.M
-	canon := m.intern.Canon(p.ids[s])
 	dst := p.work.buf[s*TM : (s+1)*TM]
 	psiT := p.work.psiT
 	mathx.Fill(dst, 0)
-	for _, c := range canon {
+	m.intern.At(p.ids[s]).Range(func(c int) bool {
 		mathx.AddStrided(dst, psiT[c*TM:(c+1)*TM], 1)
-	}
+		return true
+	})
 }
 
 // scorePanel returns the set's T×M sum panel, or nil when the set has no
@@ -384,6 +384,26 @@ func (m *Model) scratchOffs(scratch **panelScratch, n int) []int {
 // psiMeanT) rather than the panels' elogPsi transpose — those reads are
 // always current by construction, so no gate applies.
 func (m *Model) poolOffs(scratch **panelScratch, n int) []int {
+	s := borrowScratch(scratch)
+	if cap(s.offs) < n {
+		s.offs = make([]int, n)
+	}
+	return s.offs[:n]
+}
+
+// canonScratch expands set id's members, in canonical order, into the
+// scratch's member buffer (borrowing the scratch first if needed) and
+// returns them; they stay valid until the next canonScratch on the same
+// scratch.
+func (m *Model) canonScratch(scratch **panelScratch, id int32) []int {
+	s := borrowScratch(scratch)
+	s.canon = m.intern.AppendCanon(s.canon[:0], id)
+	return s.canon
+}
+
+// borrowScratch returns *scratch, taking one from panelScratchPool first
+// if the caller holds none.
+func borrowScratch(scratch **panelScratch) *panelScratch {
 	if *scratch == nil {
 		s, _ := panelScratchPool.Get().(*panelScratch)
 		if s == nil {
@@ -391,20 +411,18 @@ func (m *Model) poolOffs(scratch **panelScratch, n int) []int {
 		}
 		*scratch = s
 	}
-	s := *scratch
-	if cap(s.offs) < n {
-		s.offs = make([]int, n)
-	}
-	return s.offs[:n]
+	return *scratch
 }
 
 // panelScratch is the pool unit for scratchOffs: pooling the container
 // (not the slice) keeps Get/Put allocation-free in steady state. groups is
 // the companion survivor-group worklist (mathx.FloorGroups) scorePhiRefs
-// computes once per answer and reuses across all T cluster reductions.
+// computes once per answer and reuses across all T cluster reductions;
+// canon holds one answer's expanded members (canonScratch).
 type panelScratch struct {
 	offs   []int
 	groups []int32
+	canon  []int
 }
 
 // putScratchPanel returns a scratch panel to the pool; nil-safe so callers
@@ -481,12 +499,12 @@ func (m *Model) buildProductPanels(cube []float64) *prodCache {
 	// member — bit-identical to the legacy per-row product loop.
 	m.parallelFor(pc.slots, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			canon := m.intern.Canon(pc.ids[s])
 			dst := pc.buf[s*TM : (s+1)*TM]
 			mathx.Fill(dst, 1)
-			for _, c := range canon {
+			m.intern.At(pc.ids[s]).Range(func(c int) bool {
 				mathx.MulStridedFloor(dst, cube[c:], C, 1e-12)
-			}
+				return true
+			})
 		}
 	})
 	return pc

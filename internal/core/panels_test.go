@@ -150,8 +150,8 @@ func TestPanelCacheEquivalence(t *testing.T) {
 }
 
 // TestScorePanelMatchesAnswerScore pins the bit-exactness contract at the
-// unit level: an admitted panel's entries equal answerScore on the same
-// canonical slice, bit for bit.
+// unit level: an admitted panel's entries equal answerScore on the set's
+// expanded canonical members, bit for bit.
 func TestScorePanelMatchesAnswerScore(t *testing.T) {
 	ds, _, err := datasets.Load("movie", 0.1, 5)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestScorePanelMatchesAnswerScore(t *testing.T) {
 		if panel == nil {
 			continue
 		}
-		canon := m.intern.Canon(id)
+		canon := m.intern.AppendCanon(nil, id)
 		for tt := 0; tt < m.T; tt++ {
 			for mm := 0; mm < m.M; mm++ {
 				if got, want := panel[tt*m.M+mm], m.answerScore(tt, mm, canon); got != want {
@@ -224,7 +224,7 @@ func TestScorePanelStaleGenerationNeverServed(t *testing.T) {
 	if panel == nil {
 		t.Fatal("panel not rebuilt by ensureScorePanels")
 	}
-	canon := m.intern.Canon(admitted)
+	canon := m.intern.AppendCanon(nil, admitted)
 	if got, want := panel[0], m.answerScore(0, 0, canon); got != want {
 		t.Fatalf("rebuilt panel[0] = %v, want fresh answerScore %v", got, want)
 	}

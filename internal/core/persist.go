@@ -88,11 +88,23 @@ func (m *Model) Save(w io.Writer) error {
 		Revealed: m.revealedTruth,
 		TotalAns: m.totalAns,
 	}
+	// Every interned set's members, expanded once in id order into one
+	// flat buffer: each answer's labels are a window of it, so the encoding
+	// holds the same sorted member lists with no allocation per answer.
+	ends := make([]int, m.intern.Len()+1)
+	var flat []int
+	for id := range m.intern.Len() {
+		flat = m.intern.AppendCanon(flat, int32(id))
+		ends[id+1] = len(flat)
+	}
+	n := len(m.arrival)
+	st.AnsItems, st.AnsWorkers, st.AnsLabels = make([]int, 0, n), make([]int, 0, n), make([][]int, 0, n)
 	for _, at := range m.arrival {
 		ref := m.perItem[at.item].at(int(at.idx))
 		st.AnsItems = append(st.AnsItems, int(at.item))
 		st.AnsWorkers = append(st.AnsWorkers, int(ref.other))
-		st.AnsLabels = append(st.AnsLabels, m.intern.Canon(ref.set))
+		lo, hi := ends[ref.set], ends[ref.set+1]
+		st.AnsLabels = append(st.AnsLabels, flat[lo:hi:hi])
 	}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)

@@ -158,6 +158,7 @@ type predictScratch struct {
 	seen    labelset.Set // candidate dedup bitset
 	extras  []scoredCand // prior-driven candidate buffer
 	active  []int        // communities of one answer's worker with κ ≥ 1e-10
+	canon   []int        // one answer's members (AppendCanon)
 }
 
 type scoredCand struct {
@@ -166,8 +167,9 @@ type scoredCand struct {
 }
 
 func newPredictScratch(m *Model) *predictScratch {
-	T := m.T
+	T, M, C := m.T, m.M, m.numLabels
 	rows := make([]float64, 5*T) // one allocation for the five T-rows
+	ints := make([]int, M+C)     // and one for active and canon
 	return &predictScratch{
 		logW:    rows[0*T : 1*T : 1*T],
 		inner:   rows[1*T : 2*T : 2*T],
@@ -175,7 +177,8 @@ func newPredictScratch(m *Model) *predictScratch {
 		trial:   rows[3*T : 4*T : 4*T],
 		wt:      rows[4*T : 5*T : 5*T],
 		seen:    labelset.New(m.numLabels),
-		active:  make([]int, 0, m.M),
+		active:  ints[:0:M],
+		canon:   ints[M:M],
 	}
 }
 
@@ -219,7 +222,8 @@ func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predi
 			}
 			var xs []int
 			if panel == nil {
-				xs = m.intern.Canon(ar.set)
+				sc.canon = m.intern.AppendCanon(sc.canon[:0], ar.set)
+				xs = sc.canon
 			}
 			for t := 0; t < T; t++ {
 				inner := 0.0

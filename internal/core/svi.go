@@ -285,12 +285,13 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	M, T := m.M, m.T
 
 	// --- λ̂ from the batch answers (Eq. 9 / 18), in batch arrival order,
-	// reading each answer's canonical interned label slice.
+	// expanding each answer's interned set into its canonical members.
 	scaleA := float64(m.numAns) / float64(len(batch))
 	lhat := m.ws.lambdaSuff
 	mat.Fill(lhat, 0)
 	for _, ba := range batch {
-		m.lambdaAnswerStat(lhat, ba.item, ba.worker, m.intern.Canon(ba.set))
+		m.ws.canon = m.intern.AppendCanon(m.ws.canon[:0], ba.set)
+		m.lambdaAnswerStat(lhat, ba.item, ba.worker, m.ws.canon)
 	}
 	applyDirichlet(m.lambda.Data(), lhat, m.cfg.GammaPrior, scaleA, omega)
 
@@ -407,9 +408,9 @@ func sortInts(s []int) {
 // voted-list invariant — votedList[i] already contains every label of every
 // previously ingested answer on i (rebuildVoted for batch loads, this
 // function for every earlier streaming round, persistence for reloads) — so
-// only the batch refs and the revealed truth need merging: O(batch labels)
-// per round via sorted-slice unions over the interned canonical sets, with
-// no per-item map and no walk of the item's answer history.
+// only the batch refs and the revealed truth need merging: O(batch words)
+// per round by OR-ing the interned bitsets into one scratch set, with no
+// per-item map and no walk of the item's answer history.
 func (m *Model) extendVoted(g *batchGroups) {
 	for j, i := range g.keys {
 		m.extendVotedItem(i, g.seg(j))
@@ -418,27 +419,23 @@ func (m *Model) extendVoted(g *batchGroups) {
 
 func (m *Model) extendVotedItem(i int, refs []ansRef) {
 	cur := m.votedList[i]
-	a := append(m.ws.mergeA[:0], cur...)
-	b := m.ws.mergeB[:0]
-	merge := func(src []int) {
-		if len(src) == 0 {
-			return
-		}
-		b = unionSorted(b[:0], a, src)
-		if len(b) != len(a) {
-			a, b = b, a
-		}
+	s := &m.ws.voted
+	s.Clear()
+	for _, c := range cur {
+		s.Add(c)
 	}
 	for _, ar := range refs {
-		merge(m.intern.Canon(ar.set))
+		s.UnionWith(m.intern.At(ar.set))
 	}
-	merge(m.revealedTruth[i])
-	m.ws.mergeA, m.ws.mergeB = a[:0], b[:0] // hand the buffers back, grown
-	if len(a) == len(cur) {
-		return // nothing new voted
+	for _, c := range m.revealedTruth[i] {
+		s.Add(c)
+	}
+	n := s.Len()
+	if n == len(cur) {
+		return // nothing new voted: cur ⊆ s, so equal sizes mean equal sets
 	}
 	oldVals := m.yhatVals[i]
-	merged := append([]int(nil), a...)
+	merged := s.AppendTo(make([]int, 0, n))
 	vals := make([]float64, len(merged))
 	// Carry existing imputations across: cur ⊆ merged and both are sorted,
 	// so one linear sweep aligns them. New labels start at 0, like the map
@@ -453,26 +450,4 @@ func (m *Model) extendVotedItem(i int, refs []ansRef) {
 	// Rebind, never mutate: clones may share the old slices.
 	m.votedList[i] = merged
 	m.yhatVals[i] = vals
-}
-
-// unionSorted appends the sorted-set union of a and b to dst. Both inputs
-// must be sorted and duplicate-free; the output is too.
-func unionSorted(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }

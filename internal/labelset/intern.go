@@ -14,40 +14,36 @@ import (
 // with a 4-byte reference into one shared canonical table.
 //
 // Ids are dense, assigned in first-seen order, and never change: the table
-// is append-only. For every id the Interner keeps both the canonical sorted
-// members (the exact slice the old per-answer []int carried, shared by
-// every reference to the set) and the bitset words for O(1) membership
-// tests in the consensus-counting loops. Both live in flat arenas addressed
-// by int32 offsets, and ids are found through an open-addressing table
-// hashed over the trimmed bitset words, so a distinct set costs its members
-// and words plus 20–28 bytes of index, with no per-set allocation.
+// is append-only. A set is stored once, as its bitset words with trailing
+// zero words trimmed, in one flat arena addressed by int32 word offsets;
+// its members are expanded on demand (AppendCanon) in ascending bit order,
+// which is the canonical sorted order, and its size is a popcount (Size).
+// Ids are found through an open-addressing table hashed over the trimmed
+// words, so a distinct set costs its words plus 16–24 bytes of index, with
+// no per-set allocation.
 //
 // An Interner is owned by a single goroutine for writes (Intern); the
-// lookup side (Canon, Contains, Count) is safe for concurrent readers as
-// long as no Intern call runs at the same time — the discipline under which
-// the inference shards operate (interning happens only at ingestion, a
-// serial phase).
+// lookup side (AppendCanon, At, Contains, Size, Count) is safe for
+// concurrent readers as long as no Intern call runs at the same time — the
+// discipline under which the inference shards operate (interning happens
+// only at ingestion, a serial phase).
 type Interner struct {
 	// table holds id+1 per occupied slot (0 is free). Its length is a power
 	// of two and at least twice Len(), so linear probes stay short.
 	table []int32
 	shift uint // 64 − log2(len(table)): a hash's top bits pick its home slot
 
-	// offs[id] and offs[id+1] bound the set's members and words in the
-	// arenas. Arenas and offs are append-only: a slice handed out by Canon
-	// or At stays valid and unchanged whatever is interned later.
-	offs    []offset
-	members []int    // canonical sorted members, set after set
-	words   []uint64 // bitset words, trailing zero words trimmed
-	counts  []int32  // id → how many times the set was interned
+	// offs[id] and offs[id+1] bound the set's words in the arena. The arena
+	// and offs are append-only: a Set handed out by At stays valid and
+	// unchanged whatever is interned later.
+	offs   []int32
+	words  []uint64 // bitset words, trailing zero words trimmed, set after set
+	counts []int32  // id → how many times the set was interned
 }
-
-// offset is where one set starts in each arena.
-type offset struct{ member, word int32 }
 
 // NewInterner returns an empty table.
 func NewInterner() *Interner {
-	return &Interner{offs: []offset{{}}}
+	return &Interner{offs: []int32{0}}
 }
 
 // Len returns the number of distinct sets interned so far.
@@ -89,10 +85,9 @@ func (in *Interner) Intern(s Set) int32 {
 	if len(in.counts) >= math.MaxInt32-1 {
 		panic("labelset: interner exceeds MaxInt32-1 distinct sets")
 	}
-	end := offset{arenaOffset(len(in.members) + s.Len()), arenaOffset(len(in.words) + len(words))}
+	end := arenaOffset(len(in.words) + len(words))
 	id := int32(len(in.counts))
 	in.table[slot] = id + 1
-	in.members = s.AppendTo(in.members)
 	in.words = append(in.words, words...)
 	in.offs = append(in.offs, end)
 	in.counts = append(in.counts, 1)
@@ -124,7 +119,7 @@ func (in *Interner) rehash(n int) {
 
 // wordsOf returns the set's trimmed bitset words, capacity-clamped.
 func (in *Interner) wordsOf(id int32) []uint64 {
-	lo, hi := in.offs[id].word, in.offs[id+1].word
+	lo, hi := in.offs[id], in.offs[id+1]
 	return in.words[lo:hi:hi]
 }
 
@@ -134,15 +129,19 @@ func (in *Interner) InternSlice(xs []int) int32 {
 	return in.Intern(FromSlice(xs))
 }
 
-// Canon returns the canonical sorted member slice of the interned set.
-// Callers must not mutate it: the slice is shared by every reference.
-func (in *Interner) Canon(id int32) []int {
-	lo, hi := in.offs[id].member, in.offs[id+1].member
-	return in.members[lo:hi:hi]
+// AppendCanon appends the interned set's members to dst in ascending
+// order — the canonical order every kernel sums in — and returns the
+// extended slice. It allocates nothing when dst has room for Size(id)
+// more members.
+func (in *Interner) AppendCanon(dst []int, id int32) []int {
+	return in.At(id).AppendTo(dst)
 }
 
+// Size returns the number of members of the interned set.
+func (in *Interner) Size(id int32) int { return in.At(id).Len() }
+
 // Contains reports whether label c is a member of the interned set — the
-// O(1) replacement for a binary search over the canonical slice.
+// O(1) replacement for a binary search over sorted members.
 func (in *Interner) Contains(id int32, c int) bool { return in.At(id).Contains(c) }
 
 // At returns the interned set's bitset. Callers must treat it as read-only.
@@ -152,20 +151,19 @@ func (in *Interner) At(id int32) Set { return Set{words: in.wordsOf(id)} }
 // that cache-admission policies key on.
 func (in *Interner) Count(id int32) int32 { return in.counts[id] }
 
-// Clone returns an interner that shares the immutable arenas with the
+// Clone returns an interner that shares the immutable arena with the
 // receiver but can accept new sets independently: ids assigned by either
 // side after the clone do not leak into the other. The probe table and the
-// counts are copied; the arenas and offsets are shared by capacity-clamped
+// counts are copied; the arena and offsets are shared by capacity-clamped
 // headers, so the clone's appends reallocate instead of writing into slots
 // the source may still fill.
 func (in *Interner) Clone() *Interner {
 	return &Interner{
-		table:   append([]int32(nil), in.table...),
-		shift:   in.shift,
-		offs:    in.offs[:len(in.offs):len(in.offs)],
-		members: in.members[:len(in.members):len(in.members)],
-		words:   in.words[:len(in.words):len(in.words)],
-		counts:  append([]int32(nil), in.counts...),
+		table:  append([]int32(nil), in.table...),
+		shift:  in.shift,
+		offs:   in.offs[:len(in.offs):len(in.offs)],
+		words:  in.words[:len(in.words):len(in.words)],
+		counts: append([]int32(nil), in.counts...),
 	}
 }
 

@@ -33,8 +33,11 @@ func TestInternerAssignsStableIds(t *testing.T) {
 func TestInternerCanonAndContains(t *testing.T) {
 	in := NewInterner()
 	id := in.Intern(Of(7, 2, 64, 3))
-	canon := in.Canon(id)
+	canon := in.AppendCanon(nil, id)
 	want := []int{2, 3, 7, 64}
+	if got := in.Size(id); got != len(want) {
+		t.Errorf("Size = %d, want %d", got, len(want))
+	}
 	if len(canon) != len(want) {
 		t.Fatalf("canon %v, want %v", canon, want)
 	}
@@ -75,8 +78,11 @@ func TestInternerEmptySet(t *testing.T) {
 	if got := in.Intern(New(64)); got != id {
 		t.Errorf("empty sets intern to ids %d and %d", id, got)
 	}
-	if len(in.Canon(id)) != 0 {
-		t.Errorf("canon of empty set = %v", in.Canon(id))
+	if got := in.AppendCanon(nil, id); len(got) != 0 {
+		t.Errorf("canon of empty set = %v", got)
+	}
+	if got := in.Size(id); got != 0 {
+		t.Errorf("Size of empty set = %d", got)
 	}
 }
 
@@ -95,10 +101,10 @@ func TestInternerCloneDiverges(t *testing.T) {
 	if x != y {
 		t.Fatalf("expected both sides to assign the same next id, got %d and %d", x, y)
 	}
-	if got := in.Canon(x); len(got) != 1 || got[0] != 2 {
+	if got := in.AppendCanon(nil, x); len(got) != 1 || got[0] != 2 {
 		t.Errorf("source canon(%d) = %v, want [2]", x, got)
 	}
-	if got := cl.Canon(y); len(got) != 1 || got[0] != 3 {
+	if got := cl.AppendCanon(nil, y); len(got) != 1 || got[0] != 3 {
 		t.Errorf("clone canon(%d) = %v, want [3]", y, got)
 	}
 }
@@ -108,6 +114,32 @@ func TestInternSliceMatchesIntern(t *testing.T) {
 	a := in.Intern(Of(9, 1))
 	if b := in.InternSlice([]int{1, 9}); b != a {
 		t.Errorf("InternSlice gave %d, want %d", b, a)
+	}
+}
+
+// TestInternerAppendCanonMultiWord checks expansion and Size on sets
+// spanning several words (label universes past 64), the empty set, and
+// that expanding into a buffer with room allocates nothing.
+func TestInternerAppendCanonMultiWord(t *testing.T) {
+	in := NewInterner()
+	for _, want := range [][]int{
+		{0, 63, 64, 127, 128, 300},
+		{},
+		{65},
+		{1, 2, 3, 191, 192, 193, 255, 256},
+		{511},
+	} {
+		id := in.InternSlice(want)
+		if got := in.AppendCanon(nil, id); !slices.Equal(got, want) {
+			t.Errorf("AppendCanon(%d) = %v, want %v", id, got, want)
+		}
+		if got := in.Size(id); got != len(want) {
+			t.Errorf("Size(%d) = %d, want %d", id, got, len(want))
+		}
+		buf := make([]int, 0, len(want))
+		if allocs := testing.AllocsPerRun(50, func() { buf = in.AppendCanon(buf[:0], id) }); allocs > 0 {
+			t.Errorf("AppendCanon(%d) into a buffer with room allocates %.1f times", id, allocs)
+		}
 	}
 }
 
@@ -182,8 +214,13 @@ func sameAsRef(t *testing.T, what string, in *Interner, ref *refInterner) {
 	}
 	for id, want := range ref.canon {
 		id := int32(id)
-		if got := in.Canon(id); !slices.Equal(got, want) {
-			t.Fatalf("%s: Canon(%d) = %v, want %v", what, id, got, want)
+		// AppendCanon must append after the caller's prefix and leave it.
+		prefix := []int{-7}
+		if got := in.AppendCanon(prefix, id); got[0] != -7 || !slices.Equal(got[1:], want) {
+			t.Fatalf("%s: AppendCanon([-7], %d) = %v, want [-7] + %v", what, id, got, want)
+		}
+		if got := in.Size(id); got != len(want) {
+			t.Fatalf("%s: Size(%d) = %d, want %d", what, id, got, len(want))
 		}
 		if got := in.At(id).Slice(); !slices.Equal(got, want) {
 			t.Fatalf("%s: At(%d) = %v, want %v", what, id, got, want)
@@ -200,7 +237,9 @@ func sameAsRef(t *testing.T, what string, in *Interner, ref *refInterner) {
 }
 
 // FuzzInterner interns random set sequences into the probe table and into
-// a map-keyed reference and requires every read to agree. An op byte picks
+// a map-keyed reference and requires every read to agree: ids, the
+// expanded members against the reference's sorted slice, Size against its
+// length, bitset, membership and counts. An op byte picks
 // the target: the source, or a clone taken mid-sequence, so a clone and its
 // source interning different new sets must not see each other's ids.
 func FuzzInterner(f *testing.F) {
@@ -235,9 +274,25 @@ func FuzzInterner(f *testing.F) {
 	})
 }
 
-// TestInternerArenaOffsetBound pins the clear panic an arena past int32
-// offsets raises, instead of wrapping its offsets.
+// TestInternerArenaOffsetBound pins what the int32 offsets address — the
+// trimmed words of each set, one after another in the word arena — and the
+// clear panic an arena past int32 offsets raises, instead of wrapping its
+// offsets.
 func TestInternerArenaOffsetBound(t *testing.T) {
+	in := NewInterner()
+	in.Intern(Of(3))      // one word
+	in.Intern(Of(3, 200)) // four words
+	in.Intern(Set{})      // none
+	in.Intern(Of(64))     // two words
+	wide := Of(5, 300)
+	wide.Remove(300) // one word once trimmed
+	in.Intern(wide)
+	if want := []int32{0, 1, 5, 5, 7, 8}; !slices.Equal(in.offs, want) {
+		t.Fatalf("word offsets %v, want %v", in.offs, want)
+	}
+	if len(in.words) != 8 {
+		t.Fatalf("word arena holds %d words, want 8", len(in.words))
+	}
 	if got := arenaOffset(math.MaxInt32); got != math.MaxInt32 {
 		t.Fatalf("arenaOffset(MaxInt32) = %d", got)
 	}

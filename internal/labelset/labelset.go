@@ -96,7 +96,7 @@ func (s Set) Contains(c int) bool {
 		return false
 	}
 	w := c / wordBits
-	return w < len(s.words) && s.words[w]&(1<<uint(c%wordBits)) != 0
+	return w < len(s.words) && s.words[w]&(1<<(uint(c)%wordBits)) != 0
 }
 
 // Len returns the cardinality of the set.
@@ -166,6 +166,14 @@ func (s Set) Union(o Set) Set {
 		out.words[i] |= w
 	}
 	return out
+}
+
+// UnionWith sets s to s ∪ o in place, growing s only when o is wider.
+func (s *Set) UnionWith(o Set) {
+	s.ensure(len(o.words) - 1)
+	for i, w := range o.words {
+		s.words[i] |= w
+	}
 }
 
 // Intersect returns s ∩ o as a new set.

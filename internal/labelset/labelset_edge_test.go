@@ -42,6 +42,16 @@ func TestZeroValueBinaryOps(t *testing.T) {
 	if got := wide.Union(zero); !got.Equal(wide) {
 		t.Errorf("wide ∪ ∅ = %v", got)
 	}
+	grown := zero
+	grown.UnionWith(wide)
+	if !grown.Equal(wide) {
+		t.Errorf("∅ ∪= wide gives %v", grown)
+	}
+	kept := wide.Clone()
+	kept.UnionWith(zero)
+	if !kept.Equal(wide) {
+		t.Errorf("wide ∪= ∅ gives %v", kept)
+	}
 	if got := zero.Intersect(wide); !got.IsEmpty() {
 		t.Errorf("∅ ∩ wide = %v", got)
 	}

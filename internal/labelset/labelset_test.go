@@ -232,6 +232,12 @@ func TestPropertyAlgebraLaws(t *testing.T) {
 		if !a.Union(b).Equal(b.Union(a)) || !a.Intersect(b).Equal(b.Intersect(a)) {
 			return false
 		}
+		// The in-place union agrees with Union, whichever side is wider.
+		in := a.Clone()
+		in.UnionWith(b)
+		if !in.Equal(a.Union(b)) {
+			return false
+		}
 		// Associativity of union.
 		if !a.Union(b).Union(c).Equal(a.Union(b.Union(c))) {
 			return false

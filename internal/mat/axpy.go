@@ -26,6 +26,3 @@ func AddScaled(b, a float64, x, y []float64) { mathx.AddScaled(b, a, x, y) }
 func FlooredDot(w, x []float64, floor float64) float64 {
 	return mathx.FlooredDot(w, x, floor)
 }
-
-// Sum returns the sum of v in the canonical kernel reduction order.
-func Sum(v []float64) float64 { return mathx.Sum(v) }
