@@ -38,17 +38,10 @@ func main() {
 		baseline   = flag.String("baseline", "", "perf mode: diff the fresh report against this committed BENCH json and exit 1 on ns/op regression (the CI bench gate)")
 		maxRegress = flag.Float64("max-regress", 0.15, "perf mode: allowed fractional ns/op regression before -baseline fails (0.15 = +15%)")
 
-		simd    = flag.String("simd", "", "force a mathx kernel backend for the whole run ("+strings.Join(mathx.Backends(), ", ")+"); default: best for this CPU, or $CPA_SIMD")
 		cpuinfo = flag.Bool("cpuinfo", false, "print detected CPU features and the dispatched kernel backend, then exit (CI logging)")
 	)
 	flag.Parse()
 
-	if *simd != "" {
-		if err := mathx.ForceBackend(*simd); err != nil {
-			fmt.Fprintf(os.Stderr, "cpabench: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	fmt.Printf("cpu: %s, kernel backend: %s\n", cpufeat.Summary(), mathx.ActiveBackend())
 	if *cpuinfo {
 		fmt.Printf("available backends: %s\n", strings.Join(mathx.Backends(), ", "))

@@ -154,13 +154,13 @@ func (m *Model) updateSticks() {
 	ws := m.trainScratch()
 	if m.M > 1 {
 		colSum := ws.colSumM
-		mat.Fill(colSum, 0)
+		mathx.Fill(colSum, 0)
 		m.kappa.ColSumsInto(colSum, nil)
 		applySticks(m.rho1, m.rho2, colSum, m.cfg.Alpha, 1, 1)
 	}
 	if m.T > 1 {
 		colSum := ws.colSumT
-		mat.Fill(colSum, 0)
+		mathx.Fill(colSum, 0)
 		m.phi.ColSumsInto(colSum, nil)
 		applySticks(m.ups1, m.ups2, colSum, m.cfg.Epsilon, 1, 1)
 	}

@@ -58,7 +58,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 				if pt < respFloor {
 					continue
 				}
-				mat.Axpy(scale*pt, panel[t*M:t*M+M], dst)
+				mathx.Axpy(scale*pt, panel[t*M:t*M+M], dst)
 			}
 			continue
 		}
@@ -200,7 +200,7 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 				continue
 			}
 			for t := 0; t < T; t++ {
-				dst[t] += scale * mat.FlooredDot(kappaRow, panel[t*M:t*M+M], respFloor)
+				dst[t] += scale * mathx.FlooredDot(kappaRow, panel[t*M:t*M+M], respFloor)
 			}
 			continue
 		}
@@ -311,7 +311,7 @@ func sparseSurvivors(w []float64) (a, b, n int) {
 	return a, b, n
 }
 
-// sparseDot is mat.FlooredDot(w, x, respFloor) for a row whose entries at
+// sparseDot is mathx.FlooredDot(w, x, respFloor) for a row whose entries at
 // or above the floor are the n ≤ 2 listed by sparseSurvivors.
 func sparseDot(w, x []float64, a, b, n int) float64 {
 	sum := 0.0

@@ -4,12 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"cpa/internal/mat"
 	"cpa/internal/mathx"
 )
 
 // TestScorePhiSparseRowsMatchFlooredDot referees scorePhiRefs' sparse-row
-// fast path (sparseSurvivors + sparseDot) against mat.FlooredDot on every
+// fast path (sparseSurvivors + sparseDot) against mathx.FlooredDot on every
 // registered backend. Rows of every length 1–13 place their one or two
 // survivors in every position — the same 4-lane group, different groups,
 // the unaligned tail — at exactly respFloor or above it, with every other
@@ -69,7 +68,7 @@ func TestScorePhiSparseRowsMatchFlooredDot(t *testing.T) {
 								t.Fatalf("M=%d: sparseSurvivors(%v) = %d,%d,%d, want %d,%d,2", M, w, sa, sb, n, a, b)
 							}
 							got := sparseDot(w, x, sa, sb, n)
-							want := mat.FlooredDot(w, x, respFloor)
+							want := mathx.FlooredDot(w, x, respFloor)
 							if math.Float64bits(got) != math.Float64bits(want) {
 								t.Fatalf("%s M=%d a=%d b=%d: sparseDot(%v, %v) = %v (%#x), FlooredDot = %v (%#x)",
 									backend, M, a, b, w, x, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -86,7 +85,7 @@ func TestScorePhiSparseRowsMatchFlooredDot(t *testing.T) {
 			if _, _, n := sparseSurvivors(w); n != 0 {
 				t.Fatalf("M=%d: all-floored row reports %d survivors", M, n)
 			}
-			if got, want := sparseDot(w, x, 0, 0, 0), mat.FlooredDot(w, x, respFloor); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := sparseDot(w, x, 0, 0, 0), mathx.FlooredDot(w, x, respFloor); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s M=%d: empty sparseDot = %v, FlooredDot = %v", backend, M, got, want)
 			}
 		}

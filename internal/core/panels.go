@@ -363,9 +363,9 @@ func (m *Model) scorePanel(id int32) []float64 {
 
 // scratchOffs hands the score kernels a pool-recycled n-length offset
 // slice for the fused gather-sum kernels (mathx.AxpyGatherSum /
-// FlooredDotGatherSum) when the transposed cube is current. Sets without a
-// cached slot (below the reuse threshold or over budget) then still run
-// full-width vector kernels: the gather kernel reads the set's |offs|
+// FlooredDotGatherSumGroups) when the transposed cube is current. Sets
+// without a cached slot (below the reuse threshold or over budget) then
+// still run full-width vector kernels: the gather kernel reads the set's |offs|
 // contiguous psiT runs directly — one fused pass, no intermediate panel
 // row — in the canonical member order, so the bits match both the cached
 // panel and the scalar fallback. Returns nil when the cache is disabled

@@ -132,7 +132,7 @@ func (m *Model) dirichletModesInto(params *mat.Dense, out []float64) []float64 {
 // accumulator.
 func (m *Model) clusterTruthSizesInto(dst []float64) {
 	T, C := m.T, m.numLabels
-	mat.Fill(dst, 0)
+	mathx.Fill(dst, 0)
 	m.phi.ColSumsInto(dst, nil)
 	for t := 0; t < T; t++ {
 		acc := m.zeta.RowSum(t) - float64(C)*m.cfg.EtaPrior

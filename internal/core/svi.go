@@ -171,7 +171,7 @@ func (m *Model) PartialFit(batch []answers.Answer) error {
 		ws.shardDeltas = make([]float64, sw+si)
 	}
 	shardDeltas := ws.shardDeltas[:sw+si]
-	mat.Fill(shardDeltas, 0)
+	mathx.Fill(shardDeltas, 0)
 	if !m.cfg.DisableCommunities {
 		mat.ParallelFor(len(workers), sw, func(shard, lo, hi int) {
 			fresh := ws.freshK.Row(shard)
@@ -288,7 +288,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	// expanding each answer's interned set into its canonical members.
 	scaleA := float64(m.numAns) / float64(len(batch))
 	lhat := m.ws.lambdaSuff
-	mat.Fill(lhat, 0)
+	mathx.Fill(lhat, 0)
 	for _, ba := range batch {
 		m.ws.canon = m.intern.AppendCanon(m.ws.canon[:0], ba.set)
 		m.lambdaAnswerStat(lhat, ba.item, ba.worker, m.ws.canon)
@@ -298,7 +298,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	// --- ζ̂ from the batch items' (imputed) truth (Eq. 10 / 18).
 	scaleI := float64(m.seenItems) / float64(len(items))
 	zhat := m.ws.zetaSuff
-	mat.Fill(zhat, 0)
+	mathx.Fill(zhat, 0)
 	for _, i := range items {
 		m.zetaItemStat(zhat, i)
 	}
@@ -308,7 +308,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	if M > 1 && !m.cfg.DisableCommunities {
 		scaleU := float64(m.seenWorkers) / float64(len(workers))
 		colSum := m.ws.colSumM
-		mat.Fill(colSum, 0)
+		mathx.Fill(colSum, 0)
 		m.kappa.ColSumsInto(colSum, workers)
 		applySticks(m.rho1, m.rho2, colSum, m.cfg.Alpha, scaleU, omega)
 	}
@@ -316,7 +316,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	// --- υ̂ from the batch items (Eqs. 13–14 / 19).
 	if T > 1 && !m.cfg.DisableClusters {
 		colSum := m.ws.colSumT
-		mat.Fill(colSum, 0)
+		mathx.Fill(colSum, 0)
 		m.phi.ColSumsInto(colSum, items)
 		applySticks(m.ups1, m.ups2, colSum, m.cfg.Epsilon, scaleI, omega)
 	}
@@ -344,9 +344,9 @@ func (m *Model) sviWorkerModelStep(items []int, omega float64) {
 	}
 	m.refreshHardSig(items)
 	coins := m.ws.coinStats
-	mat.Fill(coins, 0)
+	mathx.Fill(coins, 0)
 	agree := m.ws.agreeStats
-	mat.Fill(agree, 0)
+	mathx.Fill(agree, 0)
 	for _, i := range items {
 		m.itemCoinStats(i, coins)
 		m.itemAgreeStats(i, agree)

@@ -1,14 +1,12 @@
 // Package cpufeat detects, once at init, the CPU vector-instruction
-// features the SIMD kernel backends in internal/mathx key their dispatch
+// features the AVX2 kernel backend in internal/mathx keys its dispatch
 // on. It is a hand-rolled, dependency-free stand-in for golang.org/x/sys/cpu
 // (the module is std-lib-only by policy): on amd64 it executes CPUID and
 // XGETBV directly (cpuid_amd64.s) and requires both the CPU flag and the
-// OS-enabled YMM state before advertising AVX; on arm64 ASIMD (NEON) is
-// architecturally mandatory, so no probing is needed.
+// OS-enabled YMM state before advertising AVX.
 //
-// Under the purego build tag every feature reads false, which compiles the
-// assembly out of the build entirely and pins every kernel to the portable
-// scalar reference path.
+// On every other architecture, and under the purego build tag, every
+// feature reads false and the kernels run the portable scalar reference.
 package cpufeat
 
 import "strings"
@@ -21,16 +19,11 @@ var X86 struct {
 	HasFMA  bool
 }
 
-// ARM64 holds the arm64 feature flags.
-var ARM64 struct {
-	HasNEON bool // ASIMD; architecturally guaranteed on arm64
-}
-
 // Summary returns a short comma-separated list of the detected features,
-// e.g. "avx,avx2,fma" or "neon", or "none" when nothing beyond baseline
-// scalar is available (other architectures, purego builds, or old CPUs).
-// It is recorded in bench envelopes so perf artifacts are comparable
-// across machines.
+// e.g. "avx,avx2,fma", or "none" when nothing beyond baseline scalar is
+// available (other architectures, purego builds, or old CPUs). It is
+// recorded in bench envelopes so perf artifacts are comparable across
+// machines.
 func Summary() string {
 	var fs []string
 	if X86.HasAVX {
@@ -41,9 +34,6 @@ func Summary() string {
 	}
 	if X86.HasFMA {
 		fs = append(fs, "fma")
-	}
-	if ARM64.HasNEON {
-		fs = append(fs, "neon")
 	}
 	if len(fs) == 0 {
 		return "none"

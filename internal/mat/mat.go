@@ -1,15 +1,15 @@
 // Package mat is the repository's dense storage layer: a small row-major
-// matrix type over a flat []float64 backing, the vector kernels the
-// inference hot loops are written in, and a sharded accumulator that
-// generalises the paper's Algorithm 3 map-reduce (goroutine shards
-// substituting for Spark executors, DESIGN.md D5).
+// matrix type over a flat []float64 backing, and a sharded accumulator
+// that generalises the paper's Algorithm 3 map-reduce (goroutine shards
+// substituting for Spark executors, DESIGN.md D5). The vector kernels
+// themselves live in internal/mathx; Dense's methods call them on the
+// backing slice or a row view.
 //
 // Every parameter block of the CPA model — and of the EM/BCC/cBCC
 // baselines — is a Dense: one contiguous allocation, zero-alloc row views,
 // cache-friendly sequential access in the update loops. The package has no
 // dependencies beyond the standard library and internal/mathx, and all
-// row/vector kernels are allocation-free, so they are safe inside the
-// map shards.
+// row kernels are allocation-free, so they are safe inside the map shards.
 package mat
 
 import (
@@ -34,20 +34,8 @@ func New(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromData adopts the given backing slice as a rows×cols matrix without
-// copying. The slice length must be exactly rows*cols.
-func FromData(rows, cols int, data []float64) (*Dense, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("mat: FromData(%d, %d) with %d values", rows, cols, len(data))
-	}
-	return &Dense{rows: rows, cols: cols, data: data}, nil
-}
-
 // Rows returns the number of rows.
 func (d *Dense) Rows() int { return d.rows }
-
-// Cols returns the number of columns.
-func (d *Dense) Cols() int { return d.cols }
 
 // Size returns rows*cols.
 func (d *Dense) Size() int { return len(d.data) }
@@ -57,7 +45,7 @@ func (d *Dense) Size() int { return len(d.data) }
 func (d *Dense) Data() []float64 { return d.data }
 
 // Row returns a zero-alloc view of row i, valid until the matrix is
-// reallocated (which Dense never does after New/FromData).
+// reallocated (which Dense never does after New).
 func (d *Dense) Row(i int) []float64 {
 	return d.data[i*d.cols : (i+1)*d.cols]
 }
@@ -82,7 +70,7 @@ func (d *Dense) AXPY(a float64, x *Dense) {
 	if d.rows != x.rows || d.cols != x.cols {
 		panic("mat: AXPY shape mismatch")
 	}
-	mathx.AXPY(a, x.data, d.data)
+	mathx.Axpy(a, x.data, d.data)
 }
 
 // CopyFrom copies src's contents into d. It panics on shape mismatch.
@@ -91,16 +79,6 @@ func (d *Dense) CopyFrom(src *Dense) {
 		panic("mat: CopyFrom shape mismatch")
 	}
 	copy(d.data, src.data)
-}
-
-// SetData copies the flat row-major values into the matrix, validating the
-// length — the load-time persistence boundary.
-func (d *Dense) SetData(src []float64) error {
-	if len(src) != len(d.data) {
-		return fmt.Errorf("mat: SetData with %d values, want %d", len(src), len(d.data))
-	}
-	copy(d.data, src)
-	return nil
 }
 
 // Clone returns an independent deep copy.
@@ -117,14 +95,8 @@ func (d *Dense) MaxAbsDiff(o *Dense) float64 {
 	return mathx.MaxAbsDiff(d.data, o.data)
 }
 
-// ScaleRow multiplies row i by s in place.
-func (d *Dense) ScaleRow(i int, s float64) { mathx.Scale(d.Row(i), s) }
-
 // RowSum returns the sum of row i.
 func (d *Dense) RowSum(i int) float64 { return mathx.Sum(d.Row(i)) }
-
-// LogSumExpRow returns ln Σ_j exp(d_ij) computed stably.
-func (d *Dense) LogSumExpRow(i int) float64 { return mathx.LogSumExp(d.Row(i)) }
 
 // SoftmaxRow exponentiates-and-normalises row i in place (log weights in,
 // probability vector out).

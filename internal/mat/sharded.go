@@ -117,14 +117,10 @@ func (a *Sharded) Accumulate(dst []float64, init float64, size, n, shards int, f
 			fn(bufs[b], b*n/blocks, (b+1)*n/blocks)
 		}
 	})
-	Fill(dst, init)
+	mathx.Fill(dst, init)
 	for _, buf := range bufs {
 		for k, v := range buf {
 			dst[k] += v
 		}
 	}
 }
-
-// Fill sets every element of v to x — re-exported here so accumulator
-// callers need only this package for buffer bookkeeping.
-func Fill(v []float64, x float64) { mathx.Fill(v, x) }

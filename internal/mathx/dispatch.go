@@ -2,30 +2,27 @@ package mathx
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
 // Runtime kernel dispatch. Each backend is a full set of the kernel entry
 // points; the best available one is selected once at package init
 // from the detected CPU features (internal/cpufeat), so steady-state calls
-// pay one function-pointer indirection and zero branching. The scalar
-// reference backend is always registered and always available — it is the
-// specification the SIMD backends are tested against, and the only backend
-// compiled under the purego build tag.
+// pay one function-pointer indirection and zero branching. Two backends
+// exist: the scalar reference, always registered — it is the specification
+// the AVX2 backend is tested against, and the only backend on other
+// architectures and under the purego build tag — and AVX2 on amd64.
 //
-// Selection order at init: the CPA_SIMD environment variable when set
-// ("scalar", "avx2", "neon", or "auto"), otherwise the most specific
-// backend the CPU supports. ForceBackend re-selects at runtime — it exists
-// for the equivalence tests and for cpabench's -simd flag, and must not be
-// called concurrently with kernel use (kernel calls are lock-free).
+// At init the most specific registered backend wins. ForceBackend
+// re-selects at runtime — it exists for the equivalence tests and for
+// cpabench's per-backend micro-kernel rows, and must not be called
+// concurrently with kernel use (kernel calls are lock-free).
 
 // kernelImpl is one backend's kernel table. Implementations receive
 // pre-clamped, non-empty, equal-length slices from the exported wrappers.
 type kernelImpl struct {
 	name            string
 	axpy            func(a float64, x, y []float64)
-	addScaled       func(b, a float64, x, y []float64)
 	fill            func(v []float64, x float64)
 	scale           func(v []float64, s float64)
 	sum             func(v []float64) float64
@@ -38,14 +35,12 @@ type kernelImpl struct {
 	mulStridedFloor func(dst, src []float64, stride int, floor float64)
 
 	axpyGatherSum             func(a float64, src []float64, offs []int, y []float64)
-	flooredDotGatherSum       func(w, src []float64, offs []int, floor float64) float64
 	flooredDotGatherSumGroups func(w, src []float64, offs []int, groups []int32, floor float64) float64
 }
 
 var scalarImpl = kernelImpl{
 	name:            "scalar",
 	axpy:            axpyScalar,
-	addScaled:       addScaledScalar,
 	fill:            fillScalar,
 	scale:           scaleScalar,
 	sum:             sumScalar,
@@ -58,12 +53,11 @@ var scalarImpl = kernelImpl{
 	mulStridedFloor: mulStridedFloorScalar,
 
 	axpyGatherSum:             axpyGatherSumScalar,
-	flooredDotGatherSum:       flooredDotGatherSumScalar,
 	flooredDotGatherSumGroups: flooredDotGatherSumGroupsScalar,
 }
 
-// backends holds every backend usable on this CPU, "scalar" first. The
-// per-architecture register functions append to it at init.
+// backends holds every backend usable on this CPU, "scalar" first;
+// registerSIMDBackends appends the more specific ones at init.
 var backends = []kernelImpl{scalarImpl}
 
 // active is the dispatched backend. Reads are unsynchronised by design.
@@ -71,20 +65,10 @@ var active = &backends[0]
 
 func init() {
 	registerSIMDBackends()
-	choice := os.Getenv("CPA_SIMD")
-	if choice == "" || choice == "auto" {
-		// Most specific wins: register functions append in ascending
-		// preference order.
-		active = &backends[len(backends)-1]
-		return
-	}
-	if err := ForceBackend(choice); err != nil {
-		fmt.Fprintf(os.Stderr, "cpa: ignoring CPA_SIMD=%q: %v\n", choice, err)
-		active = &backends[len(backends)-1]
-	}
+	active = &backends[len(backends)-1] // the most specific wins
 }
 
-// ForceBackend selects the named kernel backend ("scalar", "avx2", …).
+// ForceBackend selects the named kernel backend ("scalar" or "avx2").
 // It returns an error if the backend is unknown or unsupported on this
 // CPU. Not safe to call concurrently with kernel use; intended for tests
 // and benchmark harnesses.

@@ -4,17 +4,18 @@ import "math"
 
 // This file is the repository's single home for the hot-loop vector
 // kernels: the exported entry points every caller — internal/mat,
-// internal/core, the baselines — routes through, plus the portable scalar
-// reference implementations that double as the always-available fallback
-// and the test oracle for the SIMD backends (dispatch.go, kernels_amd64.s,
-// kernels_arm64.s).
+// internal/core, the baselines — routes through, one per kernel, plus the
+// portable scalar reference implementations that double as the
+// always-available fallback and the test oracle for the AVX2 backend
+// (dispatch.go, kernels_amd64.s). Every other architecture runs the
+// scalar reference.
 //
 // # Bit-exactness contract
 //
 // The kernels come in two classes:
 //
-//   - Element-wise kernels (Axpy, AddScaled, Fill, Scale, DigammaRow,
-//     LogRow, ExpRow): no cross-element accumulation, so any vectorisation
+//   - Element-wise kernels (Axpy, Fill, Scale, DigammaRow, LogRow,
+//     ExpRow): no cross-element accumulation, so any vectorisation
 //     is bit-identical to the scalar loop as long as each element sees the
 //     same operation sequence. The one hazard is fused multiply-add: an FMA contracts
 //     a*x+y into one rounding where the contract requires two, so the
@@ -68,32 +69,6 @@ func Axpy(a float64, x, y []float64) {
 	active.axpy(a, x[:n], y[:n])
 }
 
-// AXPY computes v += a*x element-wise in place. It panics on length
-// mismatch (a mismatch in an inference loop is a programming error).
-func AXPY(a float64, x, v []float64) {
-	if len(x) != len(v) {
-		panic("mathx: AXPY length mismatch")
-	}
-	if len(x) == 0 {
-		return
-	}
-	active.axpy(a, x, v)
-}
-
-// AddScaled computes y[i] = y[i]*b + a*x[i] element-wise over the shorter
-// of the two slices (the fused form of the SVI blending updates), equally
-// bit-stable across backends.
-func AddScaled(b, a float64, x, y []float64) {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	if n == 0 {
-		return
-	}
-	active.addScaled(b, a, x[:n], y[:n])
-}
-
 // Fill sets every element of v to x and returns v for chaining.
 func Fill(v []float64, x float64) []float64 {
 	if len(v) > 0 {
@@ -110,9 +85,7 @@ func Scale(v []float64, s float64) {
 }
 
 // Sum returns the sum of v in the canonical 4-lane-strided reduction order
-// (see the package bit-exactness contract). Inference accumulators use
-// plain summation; Kahan compensation is available via KahanSum where the
-// extra accuracy matters (ELBO bookkeeping).
+// (see the package bit-exactness contract).
 func Sum(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
@@ -231,25 +204,6 @@ func AxpyGatherSum(a float64, src []float64, offs []int, y []float64) {
 	active.axpyGatherSum(a, src, offs, y)
 }
 
-// FlooredDotGatherSum returns Σ_i w[i]·(Σ_j src[offs[j]+i]) over entries
-// with w[i] >= floor — FlooredDot with the gather-sum playing the panel
-// entry's role, fused into one pass. The reduction over i uses the
-// canonical 4-lane-strided order with floored entries contributing an
-// explicit +0.0 (see the package contract); each surviving entry's inner
-// sum runs over offs in order starting from 0.0, and w·sum rounds once.
-// Panics when an offset would read past src.
-func FlooredDotGatherSum(w, src []float64, offs []int, floor float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	for _, o := range offs {
-		if o < 0 || o+len(w) > len(src) {
-			panic("mathx: FlooredDotGatherSum offset out of range")
-		}
-	}
-	return active.flooredDotGatherSum(w, src, offs, floor)
-}
-
 // FloorGroups appends to buf[:0] the index of every 4-element lane group
 // of w — group g spans w[4g:4g+4] — holding at least one entry >= floor,
 // in increasing order. It is the precomputation step for
@@ -269,17 +223,24 @@ func FloorGroups(w []float64, floor float64, buf []int32) []int32 {
 	return buf
 }
 
-// FlooredDotGatherSumGroups is FlooredDotGatherSum restricted to the listed
+// FlooredDotGatherSumGroups returns Σ_i w[i]·(Σ_j src[offs[j]+i]) over
+// entries with w[i] >= floor — FlooredDot with the gather-sum playing the
+// panel entry's role, fused into one pass — visiting only the listed
 // 4-element lane groups of the 4-aligned prefix (tail entries are always
-// folded in). groups must be increasing and must include every group with
-// an entry passing the floor — FloorGroups(w, floor, …) is the canonical
-// producer; extra (fully-floored) groups are harmless. The result is
-// bit-identical to FlooredDotGatherSum over the full row: an omitted group
-// contributes an explicit +0.0 to each lane accumulator, and a lane that
-// starts at +0.0 can never reach -0.0 (x + (-x) rounds to +0.0, and
-// ±0.0 + ±0.0 is -0.0 only when both operands are -0.0), so dropping the
-// +0.0 add leaves every accumulator's bits unchanged. Panics on an
-// out-of-range offset or group index.
+// folded in). The reduction over i uses the canonical 4-lane-strided order
+// with floored entries contributing an explicit +0.0 (see the package
+// contract); each surviving entry's inner sum runs over offs in order
+// starting from 0.0, and w·sum rounds once.
+//
+// groups must be increasing and must include every group with an entry
+// passing the floor — FloorGroups(w, floor, …) is the canonical producer;
+// extra (fully-floored) groups are harmless. The result is bit-identical
+// to listing every group 0…len(w)/4−1: an omitted group contributes an
+// explicit +0.0 to each lane accumulator, and a lane that starts at +0.0
+// can never reach -0.0 (x + (-x) rounds to +0.0, and ±0.0 + ±0.0 is -0.0
+// only when both operands are -0.0), so dropping the +0.0 add leaves every
+// accumulator's bits unchanged. Panics on an out-of-range offset or group
+// index.
 func FlooredDotGatherSumGroups(w, src []float64, offs []int, groups []int32, floor float64) float64 {
 	if len(w) == 0 {
 		return 0
@@ -326,20 +287,6 @@ func axpyScalar(a float64, x, y []float64) {
 	}
 	for ; i < len(x); i++ {
 		y[i] += float64(a * x[i])
-	}
-}
-
-// addScaledScalar: y[i] = y[i]*b + a*x[i], element-wise, no contraction.
-func addScaledScalar(b, a float64, x, y []float64) {
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] = float64(y[i]*b) + float64(a*x[i])
-		y[i+1] = float64(y[i+1]*b) + float64(a*x[i+1])
-		y[i+2] = float64(y[i+2]*b) + float64(a*x[i+2])
-		y[i+3] = float64(y[i+3]*b) + float64(a*x[i+3])
-	}
-	for ; i < len(x); i++ {
-		y[i] = float64(y[i]*b) + float64(a*x[i])
 	}
 }
 
@@ -449,49 +396,15 @@ func axpyGatherSumScalar(a float64, src []float64, offs []int, y []float64) {
 	}
 }
 
-// flooredDotGatherSumScalar mirrors flooredDotScalar's canonical 4-lane
-// structure exactly, with the gather-sum in x's role. The sum is computed
-// lazily — only for entries passing the floor — which the SIMD backends
-// match by skipping the gather for fully-masked lane groups (masked lanes
-// of a mixed group compute and then blend to +0.0, same bits either way).
-func flooredDotGatherSumScalar(w, src []float64, offs []int, floor float64) float64 {
-	var s0, s1, s2, s3 float64
-	n4 := len(w) &^ 3
-	for i := 0; i < n4; i += 4 {
-		p0, p1, p2, p3 := 0.0, 0.0, 0.0, 0.0
-		if w[i] >= floor {
-			p0 = float64(w[i] * gatherSum(src, offs, i))
-		}
-		if w[i+1] >= floor {
-			p1 = float64(w[i+1] * gatherSum(src, offs, i+1))
-		}
-		if w[i+2] >= floor {
-			p2 = float64(w[i+2] * gatherSum(src, offs, i+2))
-		}
-		if w[i+3] >= floor {
-			p3 = float64(w[i+3] * gatherSum(src, offs, i+3))
-		}
-		s0 += p0
-		s1 += p1
-		s2 += p2
-		s3 += p3
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for i := n4; i < len(w); i++ {
-		p := 0.0
-		if w[i] >= floor {
-			p = float64(w[i] * gatherSum(src, offs, i))
-		}
-		s += p
-	}
-	return s
-}
-
-// flooredDotGatherSumGroupsScalar: the canonical 4-lane reduction walked
-// over the listed groups only. Each group's lane updates are exactly
-// flooredDotScalar's for that block, so inclusion of a fully-floored group
-// (+0.0 per lane) and omission produce the same bits — see the exported
-// wrapper's contract.
+// flooredDotGatherSumGroupsScalar: flooredDotScalar's canonical 4-lane
+// structure, with the gather-sum in x's role, walked over the listed
+// groups only. Each group's lane updates are exactly flooredDotScalar's
+// for that block, so inclusion of a fully-floored group (+0.0 per lane)
+// and omission produce the same bits — see the exported wrapper's
+// contract. The sum is computed lazily — only for entries passing the
+// floor — which the AVX2 kernel matches by skipping the gather for
+// fully-masked lane groups (masked lanes of a mixed group compute and then
+// blend to +0.0, same bits either way).
 func flooredDotGatherSumGroupsScalar(w, src []float64, offs []int, groups []int32, floor float64) float64 {
 	var s0, s1, s2, s3 float64
 	for _, g := range groups {
@@ -546,8 +459,8 @@ func expRowScalar(x, dst []float64) {
 // fmax is the IEEE max-with-second-operand-ties primitive every backend's
 // max scan is built from: a if a > b, else b — so NaN a is skipped (keeps
 // b), NaN b propagates, and ±0 ties keep b. It matches the hardware MAXPD
-// (and NEON FCMGT+select) semantics exactly, which is what lets the vector
-// lane scan and this scalar loop produce identical bits.
+// semantics exactly, which is what lets the vector lane scan and this
+// scalar loop produce identical bits.
 func fmax(a, b float64) float64 {
 	if a > b {
 		return a

@@ -24,9 +24,6 @@ const simdMinLen = 8
 func axpyAsm(a float64, x, y []float64)
 
 //go:noescape
-func addScaledAsm(b, a float64, x, y []float64)
-
-//go:noescape
 func fillAsm(v []float64, x float64)
 
 //go:noescape
@@ -63,9 +60,6 @@ func mulStridedFloorAsm(dst, src []float64, stride int, floor float64)
 func axpyGatherSumAsm(a float64, src []float64, offs []int, y []float64)
 
 //go:noescape
-func flooredDotGatherSumAsm(w, src []float64, offs []int, floor float64) float64
-
-//go:noescape
 func flooredDotGatherSumGroupsAsm(w, src []float64, offs []int, groups []int32, floor float64) float64
 
 func axpyAVX2(a float64, x, y []float64) {
@@ -74,14 +68,6 @@ func axpyAVX2(a float64, x, y []float64) {
 		return
 	}
 	axpyAsm(a, x, y)
-}
-
-func addScaledAVX2(b, a float64, x, y []float64) {
-	if len(x) < simdMinLen {
-		addScaledScalar(b, a, x, y)
-		return
-	}
-	addScaledAsm(b, a, x, y)
 }
 
 func fillAVX2(v []float64, x float64) {
@@ -193,22 +179,6 @@ func axpyGatherSumAVX2(a float64, src []float64, offs []int, y []float64) {
 	}
 }
 
-func flooredDotGatherSumAVX2(w, src []float64, offs []int, floor float64) float64 {
-	if len(w) < simdMinLen {
-		return flooredDotGatherSumScalar(w, src, offs, floor)
-	}
-	n4 := len(w) &^ 3
-	s := flooredDotGatherSumAsm(w[:n4], src, offs, floor)
-	for i := n4; i < len(w); i++ {
-		p := 0.0
-		if w[i] >= floor {
-			p = float64(w[i] * gatherSum(src, offs, i))
-		}
-		s += p
-	}
-	return s
-}
-
 // denseGroups reports whether the surviving groups cover enough of the row
 // for the vector kernels to pay: the asm computes all four lanes of every
 // listed group (dead lanes blend to +0.0 after doing the gather work),
@@ -275,7 +245,6 @@ func registerSIMDBackends() {
 	avx2 := kernelImpl{
 		name:            "avx2",
 		axpy:            axpyAVX2,
-		addScaled:       addScaledAVX2,
 		fill:            fillAVX2,
 		scale:           scaleAVX2,
 		sum:             sumAVX2,
@@ -288,7 +257,6 @@ func registerSIMDBackends() {
 		mulStridedFloor: mulStridedFloorAVX2,
 
 		axpyGatherSum:             axpyGatherSumAVX2,
-		flooredDotGatherSum:       flooredDotGatherSumAVX2,
 		flooredDotGatherSumGroups: flooredDotGatherSumGroupsAVX2,
 	}
 	// The vector exp replicates math.archExp's FMA variant, so it is only

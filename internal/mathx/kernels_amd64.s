@@ -242,45 +242,6 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func addScaledAsm(b, a float64, x, y []float64)
-// y[i] = y[i]*b + a*x[i]; handles the whole slice including the tail.
-TEXT ·addScaledAsm(SB), NOSPLIT, $0-64
-	MOVSD b+0(FP), X0
-	VBROADCASTSD X0, Y0
-	MOVSD a+8(FP), X1
-	VBROADCASTSD X1, Y1
-	MOVQ x_base+16(FP), SI
-	MOVQ x_len+24(FP), CX
-	MOVQ y_base+40(FP), DI
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-adds4:
-	CMPQ AX, DX
-	JGE  addstail
-	VMOVUPD (DI)(AX*8), Y2
-	VMULPD  Y0, Y2, Y2        // y*b, src1=y
-	VMOVUPD (SI)(AX*8), Y3
-	VMULPD  Y1, Y3, Y3        // a*x
-	VADDPD  Y3, Y2, Y2        // (y*b) + (a*x), src1=y*b
-	VMOVUPD Y2, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  adds4
-addstail:
-	CMPQ AX, CX
-	JGE  addsdone
-	VMOVSD (DI)(AX*8), X2
-	VMULSD X0, X2, X2
-	VMOVSD (SI)(AX*8), X3
-	VMULSD X1, X3, X3
-	VADDSD X3, X2, X2
-	VMOVSD X2, (DI)(AX*8)
-	INCQ AX
-	JMP  addstail
-addsdone:
-	VZEROUPPER
-	RET
-
 // func fillAsm(v []float64, x float64)
 TEXT ·fillAsm(SB), NOSPLIT, $0-32
 	MOVQ v_base+0(FP), DI
@@ -935,62 +896,16 @@ agsmul:
 	VZEROUPPER
 	RET
 
-// func flooredDotGatherSumAsm(w, src []float64, offs []int, floor float64) float64
-// len(w) must be a positive multiple of 4; every offs[j]+len(w) <= len(src).
-// Same canonical 4-lane accumulation and (s0+s2)+(s1+s3) combine as
-// flooredDotBlockAsm, with the gather sum in x's role. Fully-floored lane
-// groups (VPTEST on the mask) skip the gather entirely and add an explicit
-// +0.0 vector — bit-identical to four blended-to-zero lanes, and the reason
-// this kernel keeps the scalar fallback's floor-driven sparsity: near-one-hot
-// κ rows cost one compare per group, not |offs| adds.
-TEXT ·flooredDotGatherSumAsm(SB), NOSPLIT, $0-88
-	MOVQ w_base+0(FP), BX
-	MOVQ w_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	MOVQ offs_base+48(FP), R12
-	MOVQ offs_len+56(FP), R13
-	VBROADCASTSD floor+72(FP), Y3
-	VXORPS Y0, Y0, Y0         // lane accumulators
-	SHLQ $3, CX
-	XORQ R15, R15             // i*8
-fdgs4:
-	VMOVUPD (BX)(R15*1), Y1   // w
-	VCMPPD  $0x0D, Y3, Y1, Y4 // mask = w >= floor (GE_OS: NaN -> false)
-	VXORPS  Y2, Y2, Y2        // products: +0.0 until proven otherwise
-	VPTEST  Y4, Y4
-	JE      fdgsadd           // all four lanes floored: add the +0.0s
-	XORQ R14, R14
-fdgsinner:
-	CMPQ R14, R13
-	JGE  fdgsblend
-	MOVQ (R12)(R14*8), AX
-	SHLQ $3, AX
-	ADDQ R15, AX
-	VADDPD (SI)(AX*1), Y2, Y2 // s += src[offs[j]+i], src1=acc
-	INCQ R14
-	JMP  fdgsinner
-fdgsblend:
-	VMULPD Y2, Y1, Y2         // w*s, src1=w
-	VANDPD Y4, Y2, Y2         // blend-to-zero: floored lanes add +0.0
-fdgsadd:
-	VADDPD Y2, Y0, Y0         // lane accumulate, src1=acc
-	ADDQ $32, R15
-	CMPQ R15, CX
-	JLT  fdgs4
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VPERMILPD $1, X0, X1
-	VADDSD X1, X0, X0
-	VZEROUPPER
-	MOVSD X0, ret+80(FP)
-	RET
-
 // func flooredDotGatherSumGroupsAsm(w, src []float64, offs []int, groups []int32, floor float64) float64
-// The groups-restricted form of flooredDotGatherSumAsm: only the listed
-// 4-lane groups of w's 4-aligned prefix are visited (the caller's
-// FloorGroups scan found the rest fully floored; omitting their +0.0 adds
-// is bit-neutral — see the Go wrapper's contract). Same per-group body and
-// (s0+s2)+(s1+s3) combine as flooredDotGatherSumAsm.
+// len(w) must be a positive multiple of 4; every offs[j]+len(w) <= len(src)
+// and every group index is in range (the Go wrappers validated). Only the
+// listed 4-lane groups of w are visited (the caller's FloorGroups scan
+// found the rest fully floored; omitting their +0.0 adds is bit-neutral —
+// see the exported wrapper's contract). Same canonical 4-lane accumulation
+// and (s0+s2)+(s1+s3) combine as flooredDotBlockAsm, with the gather sum
+// in x's role. A listed group that is fully floored (VPTEST on the mask)
+// skips the gather and adds an explicit +0.0 vector — bit-identical to
+// four blended-to-zero lanes.
 TEXT ·flooredDotGatherSumGroupsAsm(SB), NOSPLIT, $0-112
 	MOVQ w_base+0(FP), BX
 	MOVQ src_base+24(FP), SI

@@ -8,9 +8,9 @@ import (
 
 // Equivalence suite for the panel-layer kernels: the strided cube walks
 // (AddStrided, MulStridedFloor) and the fused gather-sum kernels
-// (AxpyGatherSum, FlooredDotGatherSum). Same contract as kernels_test.go:
-// every backend bit-identical to the scalar reference at every length
-// 0..130, on well-behaved and adversarial data.
+// (AxpyGatherSum, FlooredDotGatherSumGroups). Same contract as
+// kernels_test.go: every backend bit-identical to the scalar reference at
+// every length 0..130, on well-behaved and adversarial data.
 
 func TestBackendEquivalenceStrided(t *testing.T) {
 	forEachSIMDBackend(t, func(t *testing.T, name string) {
@@ -82,6 +82,17 @@ func gatherCase(rng *rand.Rand, n, nOffs, specialEvery int) (src []float64, offs
 	return src, offs
 }
 
+// allGroups lists every 4-element lane group of a length-n row, 0…n/4−1:
+// FlooredDotGatherSumGroups over it is the full-row floored dot, which on
+// the AVX2 backend takes the dense assembly path.
+func allGroups(n int) []int32 {
+	groups := make([]int32, n/4)
+	for g := range groups {
+		groups[g] = int32(g)
+	}
+	return groups
+}
+
 func TestBackendEquivalenceGatherSum(t *testing.T) {
 	forEachSIMDBackend(t, func(t *testing.T, name string) {
 		rng := rand.New(rand.NewSource(48))
@@ -114,15 +125,16 @@ func TestBackendEquivalenceGatherSum(t *testing.T) {
 					if n > 0 {
 						floors = append(floors, w[rng.Intn(n)])
 					}
+					all := allGroups(n)
 					for _, floor := range floors {
-						ForceBackend("scalar")
-						d1 := FlooredDotGatherSum(w, src, offs, floor)
 						groups := FloorGroups(w, floor, nil)
+						ForceBackend("scalar")
+						d1 := FlooredDotGatherSumGroups(w, src, offs, all, floor)
 						g1 := FlooredDotGatherSumGroups(w, src, offs, groups, floor)
 						ForceBackend(name)
-						d2 := FlooredDotGatherSum(w, src, offs, floor)
+						d2 := FlooredDotGatherSumGroups(w, src, offs, all, floor)
 						g2 := FlooredDotGatherSumGroups(w, src, offs, groups, floor)
-						eqBit(t, "FlooredDotGatherSum", n, d1, d2)
+						eqBit(t, "FlooredDotGatherSumGroups-all", n, d1, d2)
 						eqBit(t, "FlooredDotGatherSumGroups", n, g1, g2)
 						// Omission neutrality: restricting to the surviving
 						// groups must not move a bit versus the full row.
@@ -136,8 +148,8 @@ func TestBackendEquivalenceGatherSum(t *testing.T) {
 
 // TestGatherSumMatchesComposition pins the fused kernels to the operations
 // they fuse, on the active backend: AxpyGatherSum ≡ build the summed row
-// with AddStrided(stride 1) then Axpy it; FlooredDotGatherSum ≡ FlooredDot
-// against that row. This is the bit-exactness bridge the score kernels rely
+// with AddStrided(stride 1) then Axpy it; FlooredDotGatherSumGroups, over
+// every group or over the FloorGroups list, ≡ FlooredDot against that row. This is the bit-exactness bridge the score kernels rely
 // on — cached panel, fused fallback, and scalar fallback all agree.
 func TestGatherSumMatchesComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
@@ -163,8 +175,10 @@ func TestGatherSumMatchesComposition(t *testing.T) {
 			eqBits(t, "AxpyGatherSum-vs-composed", n, want, got)
 
 			d1 := FlooredDot(w, row, 0.5)
-			d2 := FlooredDotGatherSum(w, src, offs, 0.5)
-			eqBit(t, "FlooredDotGatherSum-vs-composed", n, d1, d2)
+			d2 := FlooredDotGatherSumGroups(w, src, offs, allGroups(n), 0.5)
+			eqBit(t, "FlooredDotGatherSumGroups-all-vs-composed", n, d1, d2)
+			d3 := FlooredDotGatherSumGroups(w, src, offs, FloorGroups(w, 0.5, nil), 0.5)
+			eqBit(t, "FlooredDotGatherSumGroups-vs-composed", n, d1, d3)
 		}
 	}
 }
@@ -182,12 +196,13 @@ func TestGatherSumBounds(t *testing.T) {
 	y := make([]float64, 8)
 	expectPanic("AxpyGatherSum high", func() { AxpyGatherSum(1, src, []int{9}, y) })
 	expectPanic("AxpyGatherSum negative", func() { AxpyGatherSum(1, src, []int{-1}, y) })
-	expectPanic("FlooredDotGatherSum high", func() { FlooredDotGatherSum(y, src, []int{9}, 0) })
-	expectPanic("FlooredDotGatherSum negative", func() { FlooredDotGatherSum(y, src, []int{-1}, 0) })
+	all := allGroups(len(y))
+	expectPanic("FlooredDotGatherSumGroups high", func() { FlooredDotGatherSumGroups(y, src, []int{9}, all, 0) })
+	expectPanic("FlooredDotGatherSumGroups negative", func() { FlooredDotGatherSumGroups(y, src, []int{-1}, all, 0) })
 	expectPanic("FlooredDotGatherSumGroups group", func() { FlooredDotGatherSumGroups(y, src, []int{0}, []int32{2}, 0) })
 	// In-range offsets at the exact boundary must not panic.
 	AxpyGatherSum(1, src, []int{8, 0}, y)
-	FlooredDotGatherSum(y, src, []int{8, 0}, 0)
+	FlooredDotGatherSumGroups(y, src, []int{8, 0}, all, 0)
 }
 
 func FuzzGatherSumEquivalence(f *testing.F) {
@@ -209,17 +224,27 @@ func FuzzGatherSumEquivalence(f *testing.F) {
 		for j := range offs {
 			offs[j] = (j * 7 % (len(src) - n + 1))
 		}
+		// The dot runs in both forms: over every lane group (the full row)
+		// and over the FloorGroups list, which is the call core's score
+		// kernels make.
+		all := allGroups(n)
+		groups := FloorGroups(w, floor, nil)
 		restore := ActiveBackend()
 		defer ForceBackend(restore)
 		ForceBackend("scalar")
-		wantDot := FlooredDotGatherSum(w, src, offs, floor)
+		wantDot := FlooredDotGatherSumGroups(w, src, offs, all, floor)
 		wantY := append([]float64(nil), w...)
 		AxpyGatherSum(a, src, offs, wantY)
 		for _, name := range Backends() {
 			ForceBackend(name)
-			gotDot := FlooredDotGatherSum(w, src, offs, floor)
+			gotDot := FlooredDotGatherSumGroups(w, src, offs, all, floor)
 			if !sameFloat(wantDot, gotDot) {
 				t.Fatalf("backend %s dot: %v vs scalar %v", name, gotDot, wantDot)
+			}
+			// wantDot is the scalar full row: one comparison checks both.
+			gotGroups := FlooredDotGatherSumGroups(w, src, offs, groups, floor)
+			if !sameFloat(wantDot, gotGroups) {
+				t.Fatalf("backend %s FloorGroups dot: %v vs full-row scalar %v", name, gotGroups, wantDot)
 			}
 			gotY := append([]float64(nil), w...)
 			AxpyGatherSum(a, src, offs, gotY)

@@ -51,8 +51,8 @@ func Digamma(x float64) float64 {
 }
 
 // Trigamma returns ψ'(x), the derivative of the digamma function, for x > 0.
-// It is used by tests as an independent consistency check on Digamma and by
-// the ELBO curvature diagnostics.
+// No inference code calls it: it exists as an independent check on Digamma
+// (the tests compare Digamma's finite differences against it).
 func Trigamma(x float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 1) {
 		return x
@@ -87,14 +87,6 @@ func LogGamma(x float64) float64 {
 // LogBeta returns ln B(a, b) = ln Γ(a) + ln Γ(b) - ln Γ(a+b).
 func LogBeta(a, b float64) float64 {
 	return LogGamma(a) + LogGamma(b) - LogGamma(a+b)
-}
-
-// LogFactorial returns ln(n!) for n >= 0 using the Gamma function.
-func LogFactorial(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return LogGamma(float64(n) + 1)
 }
 
 // SoftmaxInPlace exponentiates-and-normalises the log weights in v so they
@@ -136,22 +128,6 @@ func NormalizeInPlace(v []float64) float64 {
 		v[i] *= inv
 	}
 	return sum
-}
-
-// KahanSum returns the compensated (Kahan–Babuška) sum of v, which keeps the
-// ELBO trace monotone-within-tolerance even for very long accumulations.
-func KahanSum(v []float64) float64 {
-	sum, comp := 0.0, 0.0
-	for _, x := range v {
-		t := sum + x
-		if math.Abs(sum) >= math.Abs(x) {
-			comp += (sum - t) + x
-		} else {
-			comp += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + comp
 }
 
 // Dot returns the inner product of a and b. It panics if the lengths differ,
@@ -206,27 +182,4 @@ func MaxAbsDiff(a, b []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v, or 0 for fewer than
-// two samples. Used by Table 5's ± deviations.
-func StdDev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	mu := Mean(v)
-	ss := 0.0
-	for _, x := range v {
-		d := x - mu
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(v)))
 }

@@ -122,18 +122,6 @@ func TestLogGammaAndLogBeta(t *testing.T) {
 	}
 }
 
-func TestLogFactorial(t *testing.T) {
-	want := 0.0
-	for n := 0; n <= 20; n++ {
-		if n >= 2 {
-			want += math.Log(float64(n))
-		}
-		if got := LogFactorial(n); !almostEqual(got, want, 1e-9) {
-			t.Errorf("LogFactorial(%d) = %g, want %g", n, got, want)
-		}
-	}
-}
-
 func TestLogSumExp(t *testing.T) {
 	if got := LogSumExp(nil); !math.IsInf(got, -1) {
 		t.Errorf("LogSumExp(nil) = %g, want -Inf", got)
@@ -209,21 +197,6 @@ func TestNormalizeInPlace(t *testing.T) {
 	}
 }
 
-func TestKahanSumBeatsNaiveOnIllConditionedInput(t *testing.T) {
-	// 1 followed by many tiny values that naive summation drops entirely.
-	n := 1 << 20
-	v := make([]float64, n+1)
-	v[0] = 1
-	tiny := 1e-16
-	for i := 1; i <= n; i++ {
-		v[i] = tiny
-	}
-	want := 1 + float64(n)*tiny
-	if got := KahanSum(v); !almostEqual(got, want, 1e-12) {
-		t.Errorf("KahanSum = %.18g, want %.18g", got, want)
-	}
-}
-
 func TestDotAndAXPY(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
@@ -231,11 +204,11 @@ func TestDotAndAXPY(t *testing.T) {
 		t.Errorf("Dot = %g, want 32", got)
 	}
 	v := []float64{1, 1, 1}
-	AXPY(2, a, v)
+	Axpy(2, a, v)
 	want := []float64{3, 5, 7}
 	for i := range v {
 		if v[i] != want[i] {
-			t.Errorf("AXPY = %v, want %v", v, want)
+			t.Errorf("Axpy = %v, want %v", v, want)
 		}
 	}
 }
@@ -267,19 +240,6 @@ func TestClamp(t *testing.T) {
 func TestMaxAbsDiff(t *testing.T) {
 	if got := MaxAbsDiff([]float64{1, 2, 3}, []float64{1, 2.5, 2}); got != 1 {
 		t.Errorf("MaxAbsDiff = %g, want 1", got)
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
-	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(v); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := StdDev(v); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %g, want 2", got)
-	}
-	if StdDev([]float64{1}) != 0 || Mean(nil) != 0 {
-		t.Error("degenerate Mean/StdDev should be 0")
 	}
 }
 
