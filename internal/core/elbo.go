@@ -20,11 +20,13 @@ import (
 func (m *Model) ELBO() float64 {
 	M, T := m.M, m.T
 	var elbo float64
+	m.refreshExpectations()
+	defer m.releaseScratch()
+	w := m.work
 
 	// --- E[ln p(x | z, l, ψ)]: answers under community confusion, read from
 	// the per-set score panels where cached (bit-identical to answerScore).
 	m.ensureScorePanels()
-	defer m.releasePanelWork()
 	for i := 0; i < m.numItems; i++ {
 		phiRow := m.phi.Row(i)
 		m.perItem[i].each(func(ar ansRef) {
@@ -65,7 +67,7 @@ func (m *Model) ELBO() float64 {
 			if pt < 1e-12 {
 				continue
 			}
-			elogRow := m.elogPhi.Row(t)
+			elogRow := w.elogPhi.Row(t)
 			s := 0.0
 			for k, c := range voted {
 				if v := vals[k]; v > 1e-12 {
@@ -77,12 +79,12 @@ func (m *Model) ELBO() float64 {
 	}
 
 	// --- E[ln p(z | π')] − E[ln q(z)] and the community stick terms.
-	elbo += mixtureTerms(m.kappa, m.elogPi)
+	elbo += mixtureTerms(m.kappa, w.elogPi)
 	if M > 1 {
 		elbo += stickTerms(m.rho1, m.rho2, m.cfg.Alpha)
 	}
 	// --- E[ln p(l | τ')] − E[ln q(l)] and the cluster stick terms.
-	elbo += mixtureTerms(m.phi, m.elogTau)
+	elbo += mixtureTerms(m.phi, w.elogTau)
 	if T > 1 {
 		elbo += stickTerms(m.ups1, m.ups2, m.cfg.Epsilon)
 	}
@@ -90,10 +92,10 @@ func (m *Model) ELBO() float64 {
 	// --- E[ln p(ψ)] − E[ln q(ψ)] and E[ln p(φ)] − E[ln q(φ)]: Dirichlet
 	// prior-minus-entropy terms.
 	for r := 0; r < T*M; r++ {
-		elbo += dirichletTerms(m.lambda.Row(r), m.elogPsi.Row(r), m.cfg.GammaPrior)
+		elbo += dirichletTerms(m.lambda.Row(r), w.elogPsi.Row(r), m.cfg.GammaPrior)
 	}
 	for t := 0; t < T; t++ {
-		elbo += dirichletTerms(m.zeta.Row(t), m.elogPhi.Row(t), m.cfg.EtaPrior)
+		elbo += dirichletTerms(m.zeta.Row(t), w.elogPhi.Row(t), m.cfg.EtaPrior)
 	}
 	return elbo
 }

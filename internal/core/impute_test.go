@@ -26,7 +26,7 @@ func (m *Model) imputeItemReferee(i int) {
 	vals := m.yhatVals[i]
 	l := &m.perItem[i]
 	T := m.T
-	phiMean, nbar := m.ws.phiMean, m.ws.nbar
+	phiMean, nbar := m.work.phiMean, m.work.nbar
 	phiRow := m.phi.Row(i)
 	for k, c := range voted {
 		prior := 0.0
@@ -74,7 +74,9 @@ func (m *Model) imputeItemReferee(i int) {
 // finalizeOnlineReferee is FinalizeOnline with every imputation pass run
 // through imputeItemReferee.
 func (m *Model) finalizeOnlineReferee() {
+	defer m.releaseScratch()
 	m.temp = 1
+	m.refreshExpectations()
 	m.updateLocal()
 	for pass := 0; pass < 3; pass++ {
 		m.updateReliability()

@@ -41,8 +41,8 @@ func (m *Model) Fit(ds *answers.Dataset) (*TrainStats, error) {
 	if err := m.loadDataset(ds); err != nil {
 		return nil, err
 	}
-	ws := m.trainScratch()
 	defer m.releaseScratch()
+	ws := &m.ws
 	if ws.prevKappa == nil {
 		ws.prevKappa, ws.prevPhi = mat.New(m.numWorkers, m.M), mat.New(m.numItems, m.T)
 	}
@@ -218,7 +218,8 @@ func (m *Model) updateReliability() {
 
 	// Community agreement, sharded over workers (each worker contributes
 	// its mean agreement once, κ-weighted).
-	agree := m.ws.agreeStats
+	w := m.work // borrowed by refreshHardSig
+	agree := w.agreeStats
 	m.accAgree.Accumulate(agree, 0, 2*M, U, m.shardCount(U),
 		func(buf []float64, lo, hi int) {
 			for u := lo; u < hi; u++ {
@@ -227,7 +228,7 @@ func (m *Model) updateReliability() {
 		})
 
 	// Two-coin and prevalence counts, sharded over items.
-	coins := m.ws.coinStats
+	coins := w.coinStats
 	m.accCoin.Accumulate(coins, 0, m.coinLen(), m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -338,7 +339,8 @@ func (m *Model) imputeTruth(items []int) {
 }
 
 // imputePrep refreshes the shared imputation inputs (the posterior-mean
-// emissions ws.phiMean and the expected cluster truth-set sizes ws.nbar)
+// emissions phiMean and the expected cluster truth-set sizes nbar, in the
+// call's work)
 // from the current global parameters. Split from imputeTruth so the
 // incremental publisher can freeze these inputs against the live ϕ before
 // refreshing individual items (publish.go): each imputeItem call is then a
@@ -354,7 +356,8 @@ func (m *Model) imputePrep() {
 		return
 	}
 	T := m.T
-	phiMean, nbar, tab := m.ws.phiMean, m.ws.nbar, m.ws.imputeTab
+	w := m.borrowWork()
+	phiMean, nbar, tab := w.phiMean, w.nbar, w.imputeTab
 	phiMean.CopyFrom(m.zeta)
 	for t := 0; t < T; t++ {
 		phiMean.NormalizeRow(t)
@@ -367,8 +370,8 @@ func (m *Model) imputePrep() {
 	}
 	for c, lp := range m.labelPrev {
 		p := mathx.Clamp(lp, 0.05, 0.90)
-		m.ws.prevClamp[c] = p
-		m.ws.prevLogOdd[c] = math.Log(p) - math.Log1p(-p)
+		w.prevClamp[c] = p
+		w.prevLogOdd[c] = math.Log(p) - math.Log1p(-p)
 	}
 }
 
@@ -434,11 +437,12 @@ func (m *Model) imputeItem(i int) {
 	// where the clustering is informative, prevalence separates
 	// commonly-true labels from incidental votes everywhere else.
 	T := m.T
+	w := m.work // borrowed by imputePrep
 	phiRow := m.phi.Row(i)
 	expert := m.expertCooc != nil
 	for k, c := range voted {
 		prior := 0.0
-		for t, cp := range m.ws.imputeTab[c*T : c*T+T] {
+		for t, cp := range w.imputeTab[c*T : c*T+T] {
 			pt := phiRow[t]
 			if pt < 1e-6 {
 				continue
@@ -455,8 +459,8 @@ func (m *Model) imputeItem(i int) {
 		}
 		prior = mathx.Clamp(prior, 0.05, 0.90)
 		var logOdds float64
-		if math.Float64bits(prior) == math.Float64bits(m.ws.prevClamp[c]) {
-			logOdds = m.ws.prevLogOdd[c]
+		if math.Float64bits(prior) == math.Float64bits(w.prevClamp[c]) {
+			logOdds = w.prevLogOdd[c]
 		} else {
 			logOdds = math.Log(prior) - math.Log1p(-prior)
 		}

@@ -30,7 +30,7 @@ const (
 //
 //	dst_m = E[ln π_m] + scale · Σ_refs Σ_t ϕ_it E[ln p(x_iu | ψ_tm)]
 func (m *Model) scoreKappaList(l *ansList, scale float64, dst []float64) {
-	copy(dst, m.elogPi)
+	copy(dst, m.work.elogPi)
 	for s, n := 0, l.segs(); s < n; s++ {
 		m.scoreKappaRefs(l.seg(s), scale, dst)
 	}
@@ -39,7 +39,7 @@ func (m *Model) scoreKappaList(l *ansList, scale float64, dst []float64) {
 // scoreKappaBatch is the SVI form: the worker's mini-batch answer slice
 // with the population scale |answers_u| / |batch_u|.
 func (m *Model) scoreKappaBatch(refs []ansRef, scale float64, dst []float64) {
-	copy(dst, m.elogPi)
+	copy(dst, m.work.elogPi)
 	m.scoreKappaRefs(refs, scale, dst)
 }
 
@@ -72,7 +72,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 			// the bits match both the panel path and the fallback. No
 			// intermediate panel row: a separate fill+add+AXPY sequence
 			// measured slower (three memory passes against one).
-			psiT := m.panels.work.psiT
+			psiT := m.work.psiT
 			TM := T * M
 			for t := 0; t < T; t++ {
 				pt := phiRow[t]
@@ -91,7 +91,7 @@ func (m *Model) scoreKappaRefs(refs []ansRef, scale float64, dst []float64) {
 		// (identical float-operation order to Axpy over a panel row: the
 		// per-set sum matches the panel fill, the product's intermediate
 		// rounding is pinned like the kernel's — no FMA contraction).
-		psi := m.elogPsi.Data()
+		psi := m.work.elogPsi.Data()
 		C := m.numLabels
 		for t := 0; t < T; t++ {
 			pt := phiRow[t]
@@ -142,9 +142,9 @@ func (m *Model) scorePhiBatch(i int, refs []ansRef, scale float64, dst []float64
 // expectation ŷ (DESIGN.md D2).
 func (m *Model) scorePhiBase(i int, dst []float64) {
 	T := m.T
-	copy(dst, m.elogTau)
+	copy(dst, m.work.elogTau)
+	elogPhi := m.work.elogPhi
 	if truth := m.revealedTruth[i]; truth != nil {
-		elogPhi := m.elogPhi
 		for t := 0; t < T; t++ {
 			row := elogPhi.Row(t)
 			s := 0.0
@@ -157,7 +157,7 @@ func (m *Model) scorePhiBase(i int, dst []float64) {
 		voted := m.votedList[i]
 		vals := m.yhatVals[i]
 		for t := 0; t < T; t++ {
-			row := m.elogPhi.Row(t)
+			row := elogPhi.Row(t)
 			s := 0.0
 			for k, c := range voted {
 				if v := vals[k]; v > respFloor {
@@ -221,7 +221,7 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 			// for all four lanes of every surviving group while the scalar
 			// loop below touches only the live entries — measured ~2×
 			// slower there despite the vector width.
-			psiT := m.panels.work.psiT
+			psiT := m.work.psiT
 			TM := T * M
 			for t := 0; t < T; t++ {
 				base := t * M
@@ -232,7 +232,7 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 			}
 			continue
 		}
-		psi := m.elogPsi.Data()
+		psi := m.work.elogPsi.Data()
 		C := m.numLabels
 		// Sparse rows (and the panels-disabled hook): survivor-local scalar
 		// walk over the row-major cube — each live community reads its
@@ -432,16 +432,14 @@ func applySticks(a, b, colSum []float64, conc, scale, omega float64) {
 // signature), kept as a bitset so the agreement and two-coin kernels can
 // intersect answers against it in O(words), plus its size.
 func (m *Model) refreshHardSig(items []int) {
-	if m.ws.sigSet == nil {
-		m.ws.sigSet = make([]labelset.Set, m.numItems)
-		for i := range m.ws.sigSet {
-			m.ws.sigSet[i] = labelset.New(m.numLabels)
-		}
+	w := m.borrowWork()
+	if w.sigSet == nil {
+		w.sigSet = labelset.NewMany(m.numItems, m.numLabels)
 	}
 	apply := func(i int) {
 		vals := m.yhatVals[i]
 		voted := m.votedList[i]
-		sig := &m.ws.sigSet[i]
+		sig := &w.sigSet[i]
 		sig.Clear()
 		cnt, bestK, bestV := 0, -1, 0.0
 		for k, v := range vals {
@@ -457,7 +455,7 @@ func (m *Model) refreshHardSig(items []int) {
 			cnt = 1
 			sig.Add(voted[bestK])
 		}
-		m.ws.sigLen[i] = cnt
+		w.sigLen[i] = cnt
 	}
 	if items == nil {
 		for i := 0; i < m.numItems; i++ {
@@ -476,8 +474,8 @@ func (m *Model) refreshHardSig(items []int) {
 // intersection is a word-wise popcount instead of a per-label walk.
 func (m *Model) jaccardWithSig(set int32, i int) float64 {
 	ans := m.intern.At(set)
-	inter := ans.IntersectLen(m.ws.sigSet[i])
-	union := ans.Len() + m.ws.sigLen[i] - inter
+	inter := ans.IntersectLen(m.work.sigSet[i])
+	union := ans.Len() + m.work.sigLen[i] - inter
 	if union > 0 {
 		return float64(inter) / float64(union)
 	}
@@ -529,10 +527,10 @@ func (m *Model) itemCoinStats(i int, buf []float64) {
 // per-voted-label walk it replaces.
 func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
 	offTP, offTPD, offFP, offFPD, _, _, offTPU, offTPDU, offFPU, offFPDU := m.coinOffsets()
-	sig := m.ws.sigSet[i]
+	sig := m.work.sigSet[i]
 	// Hardened-signature sizes are per-item constants: every answer asserts
 	// or misses against the same nPos positive and nNeg negative slots.
-	nPos := m.ws.sigLen[i]
+	nPos := m.work.sigLen[i]
 	nNeg := len(m.votedList[i]) - nPos
 	for _, ar := range refs {
 		u := int(ar.other)

@@ -260,15 +260,19 @@ type Model struct {
 	// share the word arena (Interner.Clone copies only the probe table and
 	// the counts).
 	intern *labelset.Interner
-	// expGen counts expectation refreshes; the score-panel cache
+	// expGen counts expectation computations; the score-panel cache
 	// (panels.go) is valid only for panels built at the current generation.
 	expGen uint64
-	// panels is the per-set T×M score-panel cache over elogPsi: its slot
-	// bookkeeping is job state, the panels themselves are borrowed per
-	// call (panels.go). A pointer: a Publisher's finalize clone shares the
-	// live model's cache, together with its elogPsi and expGen
-	// (publish.go); Clone gives a private one.
+	// panels is the per-set T×M score-panel cache over E[ln ψ]: its slot
+	// bookkeeping is job state, the panels themselves live in the call's
+	// work (panels.go). A pointer: a Publisher's finalize clone shares the
+	// live model's cache (publish.go); Clone gives a private one.
 	panels *panelCache
+	// work is the call's working memory — the expectations, the panel
+	// work, the finalize scratch and the training buffers — borrowed from
+	// workPool by the first step of a call that needs it and given back
+	// when the call ends (releaseScratch): nil between calls.
+	work *callWork
 
 	// Observed data in dense form (populated by Fit or accumulated by
 	// PartialFit), stored as append-only chunked lists so clones share the
@@ -311,13 +315,6 @@ type Model struct {
 	rho2   []float64
 	ups1   []float64 // T-1 Beta params of cluster sticks
 	ups2   []float64
-
-	// Cached expectations, refreshed from the parameters above at the start
-	// of each iteration.
-	elogPi  []float64  // M
-	elogTau []float64  // T
-	elogPsi *mat.Dense // (T·M)×C: ψ(λ_tmc) − ψ(Σ_c λ_tmc)
-	elogPhi *mat.Dense // T×C
 
 	// Imputed truth expectations ŷ (DESIGN.md D2) and the community-level
 	// two-coin worker model that calibrates them.
@@ -370,49 +367,76 @@ type Model struct {
 	ws workScratch
 }
 
-// workScratch bundles the reusable working buffers of the inference loops
-// so steady-state iterations allocate nothing. None of it is model state:
-// every buffer is recomputed before use. Buffers only training reads are
-// borrowed per call (trainBufs) or allocated on first use (Fit,
-// dataLogLik).
+// workScratch bundles the working buffers a model keeps between calls. None
+// of it is model state: every buffer is recomputed before use. The buffers
+// every call rewrites are borrowed per call (callWork); what stays here is
+// allocated on first use, by batch Fit and prediction only.
 type workScratch struct {
-	// trainBufs is nil outside a training call (trainScratch).
-	*trainBufs
+	psiMean   *mat.Dense // (T·M)×C posterior-mean confusion (dataLogLik)
+	canon     []int      // one answer's members on serial paths (AppendCanon)
+	prevKappa *mat.Dense // convergence snapshots (Fit)
+	prevPhi   *mat.Dense
 
+	// prod holds the call-scoped product panels (dataLogLik, Predict). Its
+	// slots are keyed by interned set id, so it stays with the model.
+	prod prodCache
+}
+
+// callWork is the working memory of one call, borrowed from workPool by the
+// call's first step that needs it and given back when the call ends
+// (releaseScratch). Every buffer is written before it is read within the
+// call, and none refers into a model, so jobs of one shape share units.
+type callWork struct {
+	// The expectations E[ln π] (M), E[ln τ] (T), E[ln ψ] ((T·M)×C:
+	// ψ(λ_tmc) − ψ(Σ_c λ_tmc)) and E[ln φ] (T×C), computed from the sticks,
+	// λ and ζ by refreshExpectations at the start of every call that reads
+	// them. elogPsi is allocated by the first computation.
+	elogPi, elogTau  []float64
+	elogPsi, elogPhi *mat.Dense
+
+	// psiT is a column-major copy of the elogPsi body — psiT[c·TM+r] =
+	// elogPsi[r·C+c] — transposed once per expectation generation
+	// (psiTGen, 0 until then). It turns each panel fill from |set| stride-C
+	// gather passes over the cube into |set| contiguous vector adds; the
+	// transpose itself is one O(TM·C) pass, amortised across every set
+	// built that generation. buf holds the slot-major [slots][T·M] sum
+	// panels (panels.go). Both are allocated by the first panel build.
+	psiT    []float64
+	psiTGen uint64
+	buf     []float64
+
+	// Finalize, imputation and prediction scratch.
 	agreeStats []float64      // 2M community agreement accumulators
 	coinStats  []float64      // coin-stat layout, see coinLen
-	psiMean    *mat.Dense     // (T·M)×C posterior-mean confusion (dataLogLik)
 	phiMean    *mat.Dense     // T×C posterior-mean emissions (imputeTruth)
 	nbar       []float64      // T expected cluster truth-set sizes
 	imputeTab  []float64      // C×T clamp(n̄_t·φ̄_tc, 0.02, 0.90) (imputePrep)
 	prevClamp  []float64      // C: clamp(labelPrev_c, 0.05, 0.90) (imputePrep)
 	prevLogOdd []float64      // C: ln prevClamp_c − ln(1 − prevClamp_c)
-	phiMAP     []float64      // T×C emission modes (Predict)
+	phiMAP     []float64      // T×C emission modes (clusterPriors)
 	prior      []float64      // C×T capped cluster priors (clusterPriorsInto)
-	canon      []int          // one answer's members on serial paths (AppendCanon)
 	sigLen     []int          // per item: hardened-signature size
-	sigSet     []labelset.Set // per item: the signature as a bitset (lazily allocated)
-	prevKappa  *mat.Dense     // convergence snapshots (Fit)
-	prevPhi    *mat.Dense
+	sigSet     []labelset.Set // per item: the signature as a bitset (allocated by the first refreshHardSig)
 
-	// prod holds the call-scoped product panels (dataLogLik, Predict).
-	prod prodCache
+	// trainBufs holds the buffers only training reads, allocated by a
+	// unit's first training call (trainScratch).
+	trainBufs
 }
 
-// trainBufs is the working memory of one training call (PartialFit, Fit),
-// borrowed from trainPool for the call: every buffer is rebuilt each round
-// and holds values only, never a reference into a model.
+// trainBufs is the part of the call work only training (PartialFit, Fit)
+// reads: every buffer is rebuilt each round and holds values only, never a
+// reference into a model.
 type trainBufs struct {
 	lambdaSuff  []float64 // (T·M·C) Eq. 6 sufficient statistics
 	zetaSuff    []float64 // (T·C) Eq. 7 sufficient statistics
 	colSumM     []float64 // M responsibility column sums
 	colSumT     []float64 // T
 	batchAns    []batchAns
-	groupCount  []int32 // max(U, I) counting array, zero outside a group call
+	groupCount  []int32 // max(U, I) counting array, zero outside a group call (cleared on borrow)
 	gWorkers    batchGroups
 	gItems      batchGroups
 	shardDeltas []float64
-	freshK      *mat.Dense // Parallelism × M blend rows (one per shard)
+	freshK      *mat.Dense // ≥ Parallelism × M blend rows (one per shard)
 	oldK        *mat.Dense
 	freshT      *mat.Dense // Parallelism × T
 	oldT        *mat.Dense
@@ -465,8 +489,8 @@ func (m *Model) Dims() (int, int, int) { return m.numItems, m.numWorkers, m.numL
 // Truncations returns the effective (M, T) truncation levels.
 func (m *Model) Truncations() (int, int) { return m.M, m.T }
 
-// allocate sizes a full model: the global parameters, their expectations
-// and the score-panel cache, then everything allocateLocal sizes.
+// allocate sizes a full model: the global parameters and the score-panel
+// cache, then everything allocateLocal sizes.
 func (m *Model) allocate() {
 	C, M, T := m.numLabels, m.M, m.T
 	m.dirtyFlags = make([]bool, m.numItems)
@@ -480,16 +504,12 @@ func (m *Model) allocate() {
 		m.ups1 = make([]float64, T-1)
 		m.ups2 = make([]float64, T-1)
 	}
-	m.elogPi = make([]float64, M)
-	m.elogTau = make([]float64, T)
-	m.elogPsi = mat.New(T*M, C)
-	m.elogPhi = mat.New(T, C)
 	m.panels = &panelCache{}
 	m.allocateLocal()
 }
 
 // allocateLocal sizes the state a finalize pass writes — κ, ϕ, ŷ, the
-// worker model — plus the answer-index headers and the finalize scratch.
+// worker model — plus the answer-index headers.
 // A Publisher's clone allocates only this and shares the rest (publish.go).
 func (m *Model) allocateLocal() {
 	U, I, C, M, T := m.numWorkers, m.numItems, m.numLabels, m.M, m.T
@@ -498,7 +518,6 @@ func (m *Model) allocateLocal() {
 	m.revealedTruth = make([][]int, I)
 	m.kappa = mat.New(U, M)
 	m.phi = mat.New(I, T)
-	m.ws = m.newWorkScratch()
 	m.votedList = make([][]int, I)
 	m.yhatVals = make([][]float64, I)
 	m.relm = make([]float64, M)
@@ -553,7 +572,6 @@ func (m *Model) initialize() {
 	mathx.Fill(m.ups2, m.cfg.Epsilon)
 	mathx.Fill(m.relm, 1)
 	mathx.Fill(m.workerRelW, 1)
-	m.refreshExpectations()
 }
 
 // seedFromData replaces the jittered-uniform responsibilities with
@@ -770,8 +788,8 @@ func (m *Model) maybeCompactWindow() {
 	old := m.intern
 	m.intern = labelset.NewInterner()
 	// Reset in place: a publisher clone holding the same cache re-points at
-	// it, and at the new interner, on its next sync.
-	m.releasePanelWork()
+	// it, and at the new interner, on its next sync. The call's panel work
+	// stays borrowed: the new slots start unbuilt.
 	*m.panels = panelCache{disabled: m.panels.disabled}
 	// The scratch product-panel cache is keyed by interned set id too; its
 	// slot map would index past the rebuilt interner.
@@ -797,33 +815,41 @@ func (m *Model) rebuildVoted() {
 	}
 }
 
-// refreshExpectations recomputes every cached digamma expectation from the
-// current variational parameters. The T×M×C λ cube walk runs on the
-// Algorithm 3 shards (rows are independent, so results are identical for
-// every Parallelism). Bumping expGen invalidates the score-panel cache:
-// panels built against the previous expectations are never served again
-// (panels.go).
+// refreshExpectations computes every digamma expectation from the current
+// variational parameters into the call's work, borrowing it first if the
+// model holds none. Each call that reads the expectations (PartialFit,
+// FinalizeOnline, Fit, ELBO) runs it first, and Fit after every global
+// update: the expectations are per-call working memory, and a job at rest
+// holds none. The digamma walk is row by row, so the same parameters give
+// the same bits on every call. The T×M×C λ cube walk runs on the Algorithm
+// 3 shards (rows are independent, so results are identical for every
+// Parallelism). Bumping expGen invalidates the score-panel cache: panels
+// built against other expectations are never served (panels.go).
 func (m *Model) refreshExpectations() {
 	M, T := m.M, m.T
+	w := m.borrowWork()
 	// Stick expectations E[ln π_m], E[ln τ_t].
 	if M > 1 {
-		stickELog(m.rho1, m.rho2, m.elogPi)
+		stickELog(m.rho1, m.rho2, w.elogPi)
 	} else {
-		m.elogPi[0] = 0
+		w.elogPi[0] = 0
 	}
 	if T > 1 {
-		stickELog(m.ups1, m.ups2, m.elogTau)
+		stickELog(m.ups1, m.ups2, w.elogTau)
 	} else {
-		m.elogTau[0] = 0
+		w.elogTau[0] = 0
 	}
 	// Dirichlet expectations for ψ and φ.
+	if w.elogPsi == nil {
+		w.elogPsi = mat.New(T*M, m.numLabels)
+	}
 	m.parallelFor(T*M, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			dirELog(m.lambda.Row(r), m.elogPsi.Row(r))
+			dirELog(m.lambda.Row(r), w.elogPsi.Row(r))
 		}
 	})
 	for t := 0; t < T; t++ {
-		dirELog(m.zeta.Row(t), m.elogPhi.Row(t))
+		dirELog(m.zeta.Row(t), w.elogPhi.Row(t))
 	}
 	m.expGen++
 }
@@ -967,9 +993,11 @@ func (m *Model) Clone() *Model {
 	c.rng = rand.New(rand.NewSource(m.cfg.Seed + int64(m.batchIndex) + 1))
 	// The interner's arenas are shared history; the clone gets its own probe
 	// table so both sides can intern new sets independently. The panel cache
-	// is private per model (it aliases the model's own elogPsi): start empty.
+	// is private per model: start empty. A model between calls holds no
+	// call work (expectations, panels, finalize scratch) to copy.
 	c.intern = m.intern.Clone()
 	c.panels = &panelCache{disabled: m.panels.disabled}
+	c.work = nil
 	cpF := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	c.kappa = m.kappa.Clone()
 	c.phi = m.phi.Clone()
@@ -977,8 +1005,6 @@ func (m *Model) Clone() *Model {
 	c.zeta = m.zeta.Clone()
 	c.rho1, c.rho2 = cpF(m.rho1), cpF(m.rho2)
 	c.ups1, c.ups2 = cpF(m.ups1), cpF(m.ups2)
-	c.elogPi, c.elogTau = cpF(m.elogPi), cpF(m.elogTau)
-	c.elogPsi, c.elogPhi = m.elogPsi.Clone(), m.elogPhi.Clone()
 	c.relm, c.workerRelW = cpF(m.relm), cpF(m.workerRelW)
 	c.tprM, c.fprM = cpF(m.tprM), cpF(m.fprM)
 	c.tpNumU, c.tpDenU = cpF(m.tpNumU), cpF(m.tpDenU)
@@ -1017,62 +1043,92 @@ func (m *Model) Clone() *Model {
 	// models; reallocate the clone's privately.
 	c.accLambda, c.accZeta, c.accCoin, c.accAgree, c.accLogLik =
 		mat.Sharded{}, mat.Sharded{}, mat.Sharded{}, mat.Sharded{}, mat.Sharded{}
-	c.ws = m.newWorkScratch()
+	c.ws = workScratch{}
 	return &c
 }
 
-// newWorkScratch allocates a fresh set of the working buffers every model
-// reads (finalize and prediction), sized to the model's dimensions.
-// Training-only buffers come later, from trainScratch.
-func (m *Model) newWorkScratch() workScratch {
+// borrowWork returns the call's work, borrowing a unit of the model's shape
+// from workPool, or allocating one, if the model holds none. Called from
+// serial sync points only; the parallel shards read m.work.
+func (m *Model) borrowWork() *callWork {
+	if m.work == nil {
+		if m.work = workPool.get(m.shapeKey()); m.work == nil {
+			m.work = m.newCallWork()
+		}
+		clear(m.work.groupCount) // the one buffer read before it is written
+	}
+	return m.work
+}
+
+// newCallWork allocates a unit of call work sized to the model's
+// dimensions, but for the buffers only some calls use (elogPsi, the panel
+// work, sigSet, trainBufs), which their first user allocates. The float
+// buffers share one allocation, and the sets one (labelset.NewMany), so a
+// fresh unit costs a handful of allocations whatever the item count.
+func (m *Model) newCallWork() *callWork {
 	I, C, M, T := m.numItems, m.numLabels, m.M, m.T
-	return workScratch{
-		agreeStats: make([]float64, 2*M),
-		coinStats:  make([]float64, m.coinLen()),
+	flat := make([]float64, 3*M+2*T+2*C+3*C*T+m.coinLen())
+	take := func(n int) []float64 {
+		s := flat[:n:n]
+		flat = flat[n:]
+		return s
+	}
+	return &callWork{
+		elogPi:     take(M),
+		elogTau:    take(T),
+		elogPhi:    mat.New(T, C),
+		agreeStats: take(2 * M),
+		coinStats:  take(m.coinLen()),
 		phiMean:    mat.New(T, C),
-		nbar:       make([]float64, T),
-		imputeTab:  make([]float64, C*T),
-		prevClamp:  make([]float64, C),
-		prevLogOdd: make([]float64, C),
+		nbar:       take(T),
+		imputeTab:  take(C * T),
+		prevClamp:  take(C),
+		prevLogOdd: take(C),
+		phiMAP:     take(T * C),
+		prior:      take(T * C),
 		sigLen:     make([]int, I),
 	}
 }
 
-// trainScratch borrows, on first use in a training call, the buffers only
-// training reads (trainBufs); the call gives them back with releaseScratch.
-// A model that only finalizes and predicts — a Publisher's clone — never
-// holds them.
-func (m *Model) trainScratch() *workScratch {
-	ws := &m.ws
-	if ws.trainBufs == nil {
-		if ws.trainBufs = trainPool.get(m.shapeKey(m.cfg.Parallelism)); ws.trainBufs != nil {
-			clear(ws.groupCount) // the one buffer read before it is written
-			return ws
-		}
-		C, M, T, P := m.numLabels, m.M, m.T, m.cfg.Parallelism
-		tb := &trainBufs{lambdaSuff: make([]float64, T*M*C), zetaSuff: make([]float64, T*C)}
-		tb.colSumM, tb.colSumT = make([]float64, M), make([]float64, T)
-		tb.groupCount = make([]int32, max(m.numWorkers, m.numItems))
-		tb.freshK, tb.oldK = mat.New(P, M), mat.New(P, M)
-		tb.freshT, tb.oldT = mat.New(P, T), mat.New(P, T)
-		ws.trainBufs = tb
+// trainScratch returns the call work with the buffers only training reads
+// (trainBufs) allocated, borrowing the work first if the model holds none;
+// the call gives it back with releaseScratch. A unit only finalize and
+// prediction calls have used carries no training buffers.
+func (m *Model) trainScratch() *callWork {
+	w := m.borrowWork()
+	C, M, T, P := m.numLabels, m.M, m.T, m.cfg.Parallelism
+	if w.lambdaSuff == nil {
+		w.lambdaSuff, w.zetaSuff = make([]float64, T*M*C), make([]float64, T*C)
+		w.colSumM, w.colSumT = make([]float64, M), make([]float64, T)
+		w.groupCount = make([]int32, max(m.numWorkers, m.numItems))
 	}
-	return ws
+	// Units are shared across models of one shape, whatever their
+	// Parallelism: the blend rows only grow.
+	if w.freshK == nil || w.freshK.Rows() < P {
+		w.freshK, w.oldK = mat.New(P, M), mat.New(P, M)
+		w.freshT, w.oldT = mat.New(P, T), mat.New(P, T)
+	}
+	return w
 }
 
-func (m *Model) shapeKey(par int) shapeKey {
-	return shapeKey{m.numItems, m.numWorkers, m.numLabels, m.M, m.T, par}
+func (m *Model) shapeKey() shapeKey {
+	return shapeKey{m.numItems, m.numWorkers, m.numLabels, m.M, m.T}
 }
 
-// releaseScratch ends a call's borrowing: the training scratch and the
-// panel work (the transposed ψ cube and the sum panels) go back to their
-// pools.
+// releaseScratch ends a call's borrowing: the call work goes back to its
+// pool, and every panel slot is marked unbuilt, so no expectation, panel,
+// finalize or training buffer outlives its call.
+// Expectations change every round, so panels kept between calls would
+// mostly be stale anyway; the exception, a full publication's panels at
+// the next round's generation, is rebuilt by that round for its own sets
+// only.
 func (m *Model) releaseScratch() {
-	if tb := m.ws.trainBufs; tb != nil {
-		m.ws.trainBufs = nil
-		trainPool.put(m.shapeKey(m.cfg.Parallelism), tb)
+	if w := m.work; w != nil {
+		clear(m.panels.gens) // generation 0 is never current
+		w.psiTGen = 0
+		m.work = nil
+		workPool.put(m.shapeKey(), w)
 	}
-	m.releasePanelWork()
 }
 
 // answerScore computes Σ_{c∈xs} elogPsi[t][m][c] for a given (t, m), the
@@ -1081,7 +1137,7 @@ func (m *Model) releaseScratch() {
 // member slice: the score-panel cache (panels.go) sums in the same order,
 // which is what makes cached panels bit-identical to this function.
 func (m *Model) answerScore(t, mm int, xs []int) float64 {
-	psi := m.elogPsi.Data()
+	psi := m.work.elogPsi.Data()
 	base := (t*m.M + mm) * m.numLabels
 	s := 0.0
 	for _, c := range xs {

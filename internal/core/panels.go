@@ -29,13 +29,12 @@ import (
 //     (ensureScorePanelsFor) — a PartialFit round scores just its
 //     mini-batch, so rebuilding the whole universe each round would cost
 //     O(distinct sets), not O(batch). The panels are per-call working
-//     memory: the first build of a call borrows them, with the transposed
-//     cube, as one panelWork from workPool, and the call (PartialFit, Fit,
-//     FinalizeOnline's local pass, ELBO) gives them back with every slot
+//     memory: they live, with the transposed cube and the expectations
+//     they are filled from, in the call's callWork, which the call
+//     (PartialFit, Fit, FinalizeOnline, ELBO) gives back with every slot
 //     marked unbuilt. Only the slot bookkeeping — which sets are admitted,
 //     where, at which generation — is job state. A serving job holds one
-//     cache: the Publisher's clone shares the live model's cache, elogPsi
-//     and expGen (DESIGN.md §9).
+//     cache: the Publisher's clone shares the live model's (DESIGN.md §9).
 //
 //   - Product panels over a posterior-mean or MAP cube (prodCache, in
 //     workScratch): P[t·M+m] = Π_{c∈set} max(cube[t][m][c], 1e-12), used by
@@ -77,35 +76,15 @@ const (
 
 // panelCache is the generation-guarded sum-panel cache over elogPsi. Its
 // slot bookkeeping (a few int32 per set) is job state; the panel contents
-// and the transposed cube they are filled from live in work, borrowed per
-// call.
+// and the transposed cube they are filled from live in the call's work
+// (callWork.buf, callWork.psiT), so no panel outlives its call.
 type panelCache struct {
-	slot    []int32  // set id → slot index, -1 when not admitted
-	ids     []int32  // slot → set id
-	gens    []uint64 // slot → expGen its contents were built from
-	slots   int
-	scratch []int32 // stale-slot worklist reused across builds
-	// work holds the call's panel working memory, borrowed from workPool
-	// by the first build of a call and given back, with every slot's
-	// generation cleared, when the call (PartialFit, Fit, FinalizeOnline's
-	// local pass, ELBO) ends: nil between calls, so no panel outlives its
-	// call. psiTGen is the generation work.psiT was transposed from, 0
-	// while work is nil.
-	work     *panelWork
-	psiTGen  uint64
-	disabled bool // test hook: force every kernel onto the scalar path
-}
-
-// panelWork is the sum-panel cache's per-call working memory, pooled as
-// one unit so a borrow or a return is one pool operation.
-type panelWork struct {
-	// psiT is a column-major copy of the elogPsi body — psiT[c·TM+r] =
-	// elogPsi[r·C+c] — rebuilt once per expectation generation (psiTGen).
-	// It turns each panel fill from |set| stride-C gather passes over the
-	// cube into |set| contiguous vector adds; the transpose itself is one
-	// O(TM·C) pass, amortised across every set built that generation.
-	psiT []float64
-	buf  []float64 // slot-major [slots][T·M] panels
+	slot     []int32  // set id → slot index, -1 when not admitted
+	ids      []int32  // slot → set id
+	gens     []uint64 // slot → expGen its contents were built from
+	slots    int
+	scratch  []int32 // stale-slot worklist reused across builds
+	disabled bool    // test hook: force every kernel onto the scalar path
 }
 
 // panelScratchPool recycles the score kernels' per-call gather-offset
@@ -115,10 +94,10 @@ type panelWork struct {
 var panelScratchPool sync.Pool
 
 // shapePool lends the working memory one call fully rewrites — a
-// publication's finalize clone, a training call's scratch, the panel work
-// — across every model in the process (DESIGN.md §8, §9): one sync.Pool
-// per key, which holds every dimension that sizes the buffer (the panel
-// work's buf is the one exception: each borrower extends it as needed).
+// publication's finalize clone, the call work — across every model in the
+// process (DESIGN.md §8, §9): one sync.Pool per key, which holds every
+// dimension that sizes the buffer (the call work's panel buffer and blend
+// rows are the exceptions: each borrower extends them as needed).
 // One borrower holds a buffer at a time and gives it back with no
 // reference to its model's state, so jobs of one shape share working
 // memory and an idle job's goes to the GC.
@@ -129,13 +108,11 @@ type shapePool[K comparable, T any] struct {
 
 var (
 	clonePool shapePool[shapeKey, Model]
-	trainPool shapePool[shapeKey, trainBufs]
-	workPool  shapePool[int, panelWork] // keyed by len(psiT) = T·M·C
+	workPool  shapePool[shapeKey, callWork]
 )
 
-// shapeKey holds the dimensions that size a clone or (with par) a
-// trainBufs.
-type shapeKey struct{ items, workers, labels, m, t, par int }
+// shapeKey holds the dimensions that size a clone or a callWork.
+type shapeKey struct{ items, workers, labels, m, t int }
 
 // poolPutHook, when set, sees every buffer as it goes back to its pool. It
 // is a test seam (pool hygiene) and must be set while no model is in use.
@@ -258,7 +235,7 @@ func (m *Model) buildPanelSlots(slots []int32) {
 	if len(slots) == 0 {
 		return
 	}
-	w := m.panels.work
+	w := m.work
 	if n := m.panels.slots * m.T * m.M; n > len(w.buf) {
 		// A borrowed buffer may be longer than this model needs (another
 		// job's, or one from before a compaction): only extend.
@@ -271,41 +248,22 @@ func (m *Model) buildPanelSlots(slots []int32) {
 	})
 }
 
-// ensurePsiT brings the transposed cube current with the expectations,
-// borrowing the call's panel work first if it holds none. Called from the
-// serial ensure* sync points (directly and via buildPanelSlots), so the
-// parallel panel fills and the score kernels' gather-sum fallbacks always
-// read a current psiT; scratchOffs still checks the generation to stay
-// safe outside that window.
+// ensurePsiT brings the transposed cube current with the call's
+// expectations (refreshExpectations has run). Called from the serial
+// ensure* sync points (directly and via buildPanelSlots), so the parallel
+// panel fills and the score kernels' gather-sum fallbacks always read a
+// current psiT; scratchOffs still checks the generation to stay safe
+// outside that window.
 func (m *Model) ensurePsiT() {
-	p := m.panels
-	if p.disabled || p.psiTGen == m.expGen { // psiTGen is 0 while work is nil
+	w := m.work
+	if m.panels.disabled || w.psiTGen == m.expGen {
 		return
 	}
-	if p.work == nil {
-		n := m.T * m.M * m.numLabels
-		if p.work = workPool.get(n); p.work == nil {
-			p.work = &panelWork{psiT: make([]float64, n)}
-		}
+	if w.psiT == nil {
+		w.psiT = make([]float64, m.T*m.M*m.numLabels)
 	}
 	m.transposePsi()
-	p.psiTGen = m.expGen
-}
-
-// releasePanelWork gives the call's panel work back to workPool and marks
-// every slot unbuilt, so no panel content outlives its call and the next
-// call's first build borrows and refills. Expectations refresh every
-// round, so panels kept between calls would mostly be stale anyway; the
-// exception, a full publication's panels at the next round's generation,
-// is rebuilt by that round for its own sets only.
-func (m *Model) releasePanelWork() {
-	p := m.panels
-	if p.work == nil {
-		return
-	}
-	clear(p.gens) // generation 0 is never current
-	workPool.put(len(p.work.psiT), p.work)
-	p.work, p.psiTGen = nil, 0
+	w.psiTGen = m.expGen
 }
 
 // transposePsi refreshes the column-major elogPsi copy the panel fills
@@ -315,8 +273,8 @@ func (m *Model) releasePanelWork() {
 func (m *Model) transposePsi() {
 	TM := m.T * m.M
 	C := m.numLabels
-	psi := m.elogPsi.Data()
-	psiT := m.panels.work.psiT
+	psi := m.work.elogPsi.Data()
+	psiT := m.work.psiT
 	for r := 0; r < TM; r++ {
 		row := psi[r*C : (r+1)*C]
 		for c, v := range row {
@@ -333,12 +291,11 @@ func (m *Model) transposePsi() {
 // the canonical order answerScore uses — the loop interchange moves zero
 // bits, it only turns the inner loop into a full-width kernel.
 func (m *Model) fillScorePanel(s int) {
-	p := m.panels
 	TM := m.T * m.M
-	dst := p.work.buf[s*TM : (s+1)*TM]
-	psiT := p.work.psiT
+	dst := m.work.buf[s*TM : (s+1)*TM]
+	psiT := m.work.psiT
 	mathx.Fill(dst, 0)
-	m.intern.At(p.ids[s]).Range(func(c int) bool {
+	m.intern.At(m.panels.ids[s]).Range(func(c int) bool {
 		mathx.AddStrided(dst, psiT[c*TM:(c+1)*TM], 1)
 		return true
 	})
@@ -346,11 +303,11 @@ func (m *Model) fillScorePanel(s int) {
 
 // scorePanel returns the set's T×M sum panel, or nil when the set has no
 // current-generation panel (not admitted, over budget, stale generation,
-// no panel work held, or cache disabled) — the caller then takes the
+// no call work held, or cache disabled) — the caller then takes the
 // fallback path, which produces identical bits.
 func (m *Model) scorePanel(id int32) []float64 {
 	p := m.panels
-	if p.disabled || p.work == nil || int(id) >= len(p.slot) {
+	if p.disabled || m.work == nil || int(id) >= len(p.slot) {
 		return nil
 	}
 	s := p.slot[id]
@@ -358,7 +315,7 @@ func (m *Model) scorePanel(id int32) []float64 {
 		return nil
 	}
 	TM := m.T * m.M
-	return p.work.buf[int(s)*TM : (int(s)+1)*TM]
+	return m.work.buf[int(s)*TM : (int(s)+1)*TM]
 }
 
 // scratchOffs hands the score kernels a pool-recycled n-length offset
@@ -372,8 +329,7 @@ func (m *Model) scorePanel(id int32) []float64 {
 // (the truly-scalar test hook) or psiT is stale (kernel call outside the
 // ensure window); the caller then takes the scalar path.
 func (m *Model) scratchOffs(scratch **panelScratch, n int) []int {
-	p := m.panels
-	if p.disabled || p.psiTGen != m.expGen {
+	if m.panels.disabled || m.work == nil || m.work.psiTGen != m.expGen {
 		return nil
 	}
 	return m.poolOffs(scratch, n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -60,10 +61,11 @@ func sameViews(t *testing.T, what string, a, b *ConsensusView) {
 		if !reflect.DeepEqual(a.Items[i].Labels, b.Items[i].Labels) {
 			t.Fatalf("%s: item %d labels %v vs %v", what, i, a.Items[i].Labels, b.Items[i].Labels)
 		}
-		if !reflect.DeepEqual(a.Items[i].Candidates, b.Items[i].Candidates) {
+		al, av := splitCandidates(a.Items[i].Candidates)
+		bl, bv := splitCandidates(b.Items[i].Candidates)
+		if !reflect.DeepEqual(al, bl) {
 			t.Fatalf("%s: item %d candidates differ", what, i)
 		}
-		av, bv := a.Items[i].Confidence, b.Items[i].Confidence
 		if len(av) != len(bv) {
 			t.Fatalf("%s: item %d confidence lengths differ", what, i)
 		}
@@ -164,6 +166,7 @@ func TestScorePanelMatchesAnswerScore(t *testing.T) {
 	if _, err := m.FitStream(ds); err != nil {
 		t.Fatal(err)
 	}
+	m.refreshExpectations()
 	m.ensureScorePanels()
 	checked := 0
 	for id := int32(0); int(id) < m.intern.Len(); id++ {
@@ -201,6 +204,7 @@ func TestScorePanelStaleGenerationNeverServed(t *testing.T) {
 	if _, err := m.FitStream(ds); err != nil {
 		t.Fatal(err)
 	}
+	m.refreshExpectations()
 	m.ensureScorePanels()
 	var admitted int32 = -1
 	for id := int32(0); int(id) < m.intern.Len(); id++ {
@@ -230,19 +234,31 @@ func TestScorePanelStaleGenerationNeverServed(t *testing.T) {
 	}
 }
 
-// TestModelAtRestHoldsNoPanelBuffer pins the sum panels as per-call working
-// memory: after PartialFit (window compactions included), a full and an
-// incremental publication, batch Fit and ELBO, the model holds no
-// panelWork, every slot reads unbuilt, and scorePanel serves nothing even
-// at the generation the panels were built at. It also holds a steady
-// PartialFit round to 40 allocations: the pool unit is pointer-held, so
-// borrowing and returning it allocate nothing.
+// TestModelAtRestHoldsNoPanelBuffer pins the call work — the expectations
+// E[ln π], E[ln τ], E[ln ψ], E[ln φ], the panel work, the finalize scratch
+// and the training buffers — as per-call working memory: after PartialFit
+// (window compactions included), a full and an incremental publication,
+// FinalizeOnline, batch Fit, ELBO and Load, the model holds no callWork
+// and reaches no buffer of one that went back to its pool, every unit it
+// borrowed went back with no transposed cube marked current, no finalize
+// clone went back holding one, every slot reads unbuilt, and scorePanel
+// serves nothing even at the generation the panels were built at. It also
+// holds a steady PartialFit round to 40 allocations: the pool unit is
+// pointer-held, so borrowing and returning it allocate nothing.
 func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 	returned := 0
+	units := map[*callWork]bool{}
 	prevPut := poolPutHook
 	poolPutHook = func(x any) {
-		if _, ok := x.(*panelWork); ok {
+		if w, ok := x.(*callWork); ok {
 			returned++
+			units[w] = true
+			if w.psiTGen != 0 {
+				t.Errorf("a unit went back with its transposed cube marked current (generation %d)", w.psiTGen)
+			}
+		}
+		if c, ok := x.(*Model); ok && c.work != nil {
+			t.Error("a finalize clone went back to its pool holding call work")
 		}
 		if prevPut != nil {
 			prevPut(x)
@@ -251,14 +267,22 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 	t.Cleanup(func() { poolPutHook = prevPut })
 	atRest := func(what string, m *Model, borrowed bool) {
 		t.Helper()
-		p := m.panels
-		if p.work != nil || p.psiTGen != 0 {
-			t.Fatalf("%s: the model holds its panel work at rest", what)
+		if m.work != nil {
+			t.Fatalf("%s: the model holds its call work at rest", what)
 		}
 		if borrowed && returned == 0 {
-			t.Fatalf("%s: no panel work went back to its pool", what)
+			t.Fatalf("%s: no call work went back to its pool", what)
 		}
 		returned = 0
+		held := storageOf(m)
+		for w := range units {
+			for addr := range storageOf(w) {
+				if held[addr] {
+					t.Fatalf("%s: the model still reaches a pooled call-work buffer at %#x", what, addr)
+				}
+			}
+		}
+		p := m.panels
 		for s, g := range p.gens {
 			if g != 0 {
 				t.Fatalf("%s: slot %d still reads built at generation %d", what, s, g)
@@ -266,7 +290,7 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 		}
 		for s, id := range p.ids {
 			if m.scorePanel(id) != nil {
-				t.Fatalf("%s: slot %d served a panel with no panel work held", what, s)
+				t.Fatalf("%s: slot %d served a panel with no call work held", what, s)
 			}
 		}
 	}
@@ -277,6 +301,7 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	atRest("NewModel", m, false)
 	pub := NewPublisher(m)
 	compactions, maxSlots := 0, 0
 	for round, b := range ds.Batches(cfg.BatchSize) {
@@ -295,9 +320,10 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 		if _, _, err := pub.Publish(full); err != nil {
 			t.Fatal(err)
 		}
-		// An incremental publication reads no panel; a full one builds
-		// every admitted panel in the shared cache and gives them back.
-		atRest(fmt.Sprintf("round %d Publish(%v)", round, full), m, full)
+		// A full publication's clone builds every admitted panel in the
+		// shared cache and gives its work back; an incremental one borrows
+		// the live model's work for the cluster priors.
+		atRest(fmt.Sprintf("round %d Publish(%v)", round, full), m, true)
 	}
 	if compactions < 2 {
 		t.Fatalf("AnswerWindow compacted %d times, want at least 2", compactions)
@@ -307,6 +333,21 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 	}
 	m.ELBO()
 	atRest("streamed ELBO", m, true)
+	m.FinalizeOnline()
+	atRest("FinalizeOnline", m, true)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atRest("Load", loaded, false)
+	if _, _, err := NewPublisher(loaded).Publish(true); err != nil {
+		t.Fatal(err)
+	}
+	atRest("reloaded Publish(true)", loaded, true)
 
 	fit, err := NewModel(Config{Seed: 11, MaxIter: 5}, ds.NumItems, ds.NumWorkers, ds.NumLabels)
 	if err != nil {
@@ -321,6 +362,9 @@ func TestModelAtRestHoldsNoPanelBuffer(t *testing.T) {
 	atRest("batch Fit", fit, true)
 	fit.ELBO()
 	atRest("batch ELBO", fit, true)
+	if len(units) == 0 {
+		t.Fatal("no call work went through the pool")
+	}
 
 	if raceEnabled {
 		return // sync.Pool drops Puts at random under -race

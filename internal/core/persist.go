@@ -243,10 +243,9 @@ func Load(r io.Reader) (*Model, error) {
 	m.batchIndex = st.BatchIndex
 	m.fitted = st.Fitted
 	m.streamFitted = st.BatchIndex > 0
-	// Reseed the RNG deterministically past the saved progress and refresh
-	// the cached expectations from the restored parameters.
+	// Reseed the RNG deterministically past the saved progress. The
+	// expectations are not state: each call computes its own.
 	m.rng = rand.New(rand.NewSource(st.Cfg.Seed + int64(st.BatchIndex) + 1))
-	m.refreshExpectations()
 	// Sanity: parameters must be positive.
 	for _, v := range m.lambda.Data() {
 		if v <= 0 {

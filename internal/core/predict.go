@@ -26,6 +26,7 @@ func (m *Model) Predict() ([]labelset.Set, error) {
 	// shards; nil entries fall back to the identical per-answer product).
 	psiMAP := m.dirichletModes(m.lambda)
 	prior := m.clusterPriors()
+	defer m.releaseScratch()
 	pp := m.buildProductPanels(psiMAP)
 	m.parallelFor(m.numItems, func(lo, hi int) {
 		sc := newPredictScratch(m)
@@ -46,21 +47,24 @@ func (m *Model) PredictItem(i int) (labelset.Set, error) {
 		return labelset.Set{}, fmt.Errorf("%w: item %d out of range", ErrConfig, i)
 	}
 	psiMAP := m.dirichletModes(m.lambda)
+	prior := m.clusterPriors()
+	defer m.releaseScratch()
 	// No product panels for a single item: building the full per-set cache
 	// would dwarf the one item's work, and the nil path is bit-identical.
-	return m.predictItem(i, psiMAP, m.clusterPriors(), nil, newPredictScratch(m)), nil
+	return m.predictItem(i, psiMAP, prior, nil, newPredictScratch(m)), nil
 }
 
-// clusterPriors builds the §3.4 cluster-prior table in the model's reused
-// buffers (see clusterPriorsInto). The table is read-only while the shards
-// instantiate, and like the product panels it is call-scoped: Predict,
-// PredictItem and the incremental refresh rebuild it, so they must not run
-// concurrently on one model.
+// clusterPriors builds the §3.4 cluster-prior table in the call's work
+// (see clusterPriorsInto), borrowing it first if the model holds none. The
+// table is read-only while the shards instantiate and lives until the call
+// (Predict, PredictItem, the incremental refresh) gives its work back, so
+// those calls must not run concurrently on one model.
 func (m *Model) clusterPriors() []float64 {
-	m.ws.phiMAP = m.dirichletModesInto(m.zeta, m.ws.phiMAP)
-	m.clusterTruthSizesInto(m.ws.nbar)
-	m.ws.prior = m.clusterPriorsInto(m.ws.phiMAP, m.ws.nbar, m.ws.prior)
-	return m.ws.prior
+	w := m.borrowWork()
+	w.phiMAP = m.dirichletModesInto(m.zeta, w.phiMAP)
+	m.clusterTruthSizesInto(w.nbar)
+	w.prior = m.clusterPriorsInto(w.phiMAP, w.nbar, w.prior)
+	return w.prior
 }
 
 // clusterPriorsInto fills the label-major C×T table prior[c·T+t] =

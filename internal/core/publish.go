@@ -13,9 +13,10 @@ import (
 // publication (DESIGN.md §8). A full publication borrows a finalize clone
 // of the live model from clonePool: it owns only the state the finalize
 // pipeline writes and shares the rest by reference — the global
-// parameters, their expectations, the score-panel cache and, structurally,
-// the answer index (chunks.go) — and goes back to the pool when the view is
-// built, so a job at rest holds no finalize state (syncPublishState).
+// parameters, the score-panel cache and, structurally, the answer index
+// (chunks.go) — and goes back to the pool when the view is built, so a job
+// at rest holds no finalize state (syncPublishState). The clone computes
+// its own expectations from the shared globals, in its call work.
 // It supports two publication modes:
 //
 //   - Full: the complete online-prediction pipeline of §4.1 — FinalizeOnline
@@ -142,15 +143,15 @@ func newPublishClone(src *Model) *Model {
 
 // syncPublishState brings the clone level with the live model. The clone
 // owns only what FinalizeOnline and ConsensusView write — κ, ϕ, ŷ, the
-// worker model, the hard signatures, the finalize scratch and the product
-// panels — and refills those buffers by copy. Everything else it shares by
-// reference: the interner, λ, ζ, the sticks, their expectations and the
-// score-panel cache; the answer index is shared structurally (chunks.go).
-// Sharing is safe because the fitter goroutine runs PartialFit and
-// publication strictly in turn, and the clone's one write to shared state,
-// bringing panels current, is value-transparent (panels.go). The clone
-// takes the live expGen, and the panels its local pass builds go back to
-// the pool with the panel work when that pass ends. Cost is O(items·T +
+// worker model and the product panels — and refills those buffers by copy;
+// its expectations, hard signatures and finalize scratch are its calls'
+// work. Everything else it shares by reference: the interner, λ, ζ, the
+// sticks and the score-panel cache; the answer index is shared
+// structurally (chunks.go). Sharing is safe because the fitter goroutine
+// runs PartialFit and publication strictly in turn, and the clone's one
+// write to shared state, bringing panels current, is value-transparent
+// (panels.go): the panels its local pass builds are marked unbuilt again
+// when its call work goes back to the pool. Cost is O(items·T +
 // workers·M): nothing scales with the number of ingested answers, and no
 // T×M×C cube is copied.
 func (c *Model) syncPublishState(src *Model) {
@@ -164,9 +165,8 @@ func (c *Model) syncPublishState(src *Model) {
 	}
 	c.cfg = src.cfg
 	c.intern, c.panels, c.expGen = src.intern, src.panels, src.expGen
-	c.lambda, c.zeta, c.elogPsi, c.elogPhi = src.lambda, src.zeta, src.elogPsi, src.elogPhi
+	c.lambda, c.zeta = src.lambda, src.zeta
 	c.rho1, c.rho2, c.ups1, c.ups2 = src.rho1, src.rho2, src.ups1, src.ups2
-	c.elogPi, c.elogTau = src.elogPi, src.elogTau
 	c.expertCooc = src.expertCooc
 
 	for u := range src.perWorker {
@@ -210,9 +210,9 @@ func (c *Model) syncPublishState(src *Model) {
 // borrower, of any job, starts from its own.
 func (c *Model) dropShared() {
 	c.intern, c.panels = nil, nil
-	c.lambda, c.zeta, c.elogPsi, c.elogPhi = nil, nil, nil, nil
+	c.lambda, c.zeta = nil, nil
 	c.rho1, c.rho2, c.ups1, c.ups2 = nil, nil, nil, nil
-	c.elogPi, c.elogTau, c.expertCooc = nil, nil, nil
+	c.expertCooc = nil
 	clear(c.perWorker)
 	clear(c.perItem)
 	c.arrival = nil
@@ -236,7 +236,7 @@ func publishParallelism() int { return runtime.GOMAXPROCS(0) }
 // gives the clone back. The view copies what it takes from the clone.
 func (p *Publisher) publishFull() (*ConsensusView, error) {
 	src := p.src
-	k := src.shapeKey(0)
+	k := src.shapeKey()
 	c := clonePool.get(k)
 	if c == nil {
 		c = newPublishClone(src)
@@ -270,6 +270,7 @@ func (p *Publisher) publishFull() (*ConsensusView, error) {
 func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	src := p.src
 	prior := src.clusterPriors()
+	defer src.releaseScratch()
 
 	if cap(p.preds) < len(dirty) {
 		p.preds = make([]labelset.Set, len(dirty))
@@ -287,11 +288,7 @@ func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	items := make([]ItemConsensus, len(p.view.Items))
 	copy(items, p.view.Items)
 	for k, i := range dirty {
-		items[i] = ItemConsensus{
-			Labels:     preds[k].Slice(),
-			Candidates: src.sharedVoted(i),
-			Confidence: append([]float64(nil), src.yhatVals[i]...),
-		}
+		items[i] = src.itemConsensus(i, preds[k])
 	}
 	view := &ConsensusView{Items: items, Stats: src.Stats()}
 	p.view = view

@@ -108,7 +108,7 @@ func TestPublishBatchFittedMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.shapeKey(0) != stream.shapeKey(0) {
+	if batch.shapeKey() != stream.shapeKey() {
 		t.Fatal("the two models must share one clone shape")
 	}
 	for _, b := range ds.Shuffled(rand.New(rand.NewSource(52))).Batches(64) {
@@ -341,7 +341,7 @@ func chainExpert(t testing.TB, m *Model) {
 }
 
 // sameLiveBits asserts two live models hold bit-identical fitting state:
-// parameters, their expectations, ŷ and the whole worker model.
+// parameters, ŷ and the whole worker model.
 func sameLiveBits(t testing.TB, what string, want, got *Model) {
 	t.Helper()
 	sameModelBits(t, what, want, got)
@@ -349,10 +349,6 @@ func sameLiveBits(t testing.TB, what string, want, got *Model) {
 		name      string
 		want, got []float64
 	}{
-		{"elogPsi", want.elogPsi.Data(), got.elogPsi.Data()},
-		{"elogPhi", want.elogPhi.Data(), got.elogPhi.Data()},
-		{"elogPi", want.elogPi, got.elogPi},
-		{"elogTau", want.elogTau, got.elogTau},
 		{"rho1", want.rho1, got.rho1},
 		{"rho2", want.rho2, got.rho2},
 		{"ups1", want.ups1, got.ups1},
@@ -388,24 +384,23 @@ func sameLiveBits(t testing.TB, what string, want, got *Model) {
 
 // checkCloneShares asserts the publisher's finalize clone aliases the live
 // model's read-only globals and score-panel cache, owns private copies of
-// what finalize writes, and holds no training scratch or rng; and that the
-// live streaming model holds none of batch Fit's scratch. It runs at
-// publication time, before the clone goes back to its pool.
+// what finalize writes, and holds no training scratch, call work or rng;
+// and that the live streaming model holds none of batch Fit's scratch. It
+// runs at publication time, before the clone goes back to its pool.
 func checkCloneShares(t testing.TB, what string, c, m *Model) {
 	t.Helper()
-	if c.lambda != m.lambda || c.zeta != m.zeta || c.elogPsi != m.elogPsi || c.elogPhi != m.elogPhi ||
-		c.panels != m.panels || c.intern != m.intern {
-		t.Fatalf("%s: clone does not alias the live λ/ζ/elogPsi/elogPhi/panels/interner", what)
+	if c.lambda != m.lambda || c.zeta != m.zeta || c.panels != m.panels || c.intern != m.intern {
+		t.Fatalf("%s: clone does not alias the live λ/ζ/panels/interner", what)
 	}
-	if c.expGen != m.expGen {
-		t.Fatalf("%s: clone expGen %d, live %d", what, c.expGen, m.expGen)
+	if c.work != nil || m.work != nil {
+		t.Fatalf("%s: a model kept its call work after the publication", what)
 	}
 	if c.kappa == m.kappa || c.phi == m.phi || &c.yhatVals[0] == &m.yhatVals[0] ||
 		&c.tpNumU[0] == &m.tpNumU[0] || &c.voteLW[0] == &m.voteLW[0] || &c.labelPrev[0] == &m.labelPrev[0] {
 		t.Fatalf("%s: clone shares state that finalize writes", what)
 	}
 	ws := &c.ws
-	if c.rng != nil || ws.trainBufs != nil ||
+	if c.rng != nil ||
 		ws.prevKappa != nil || ws.prevPhi != nil || ws.psiMean != nil || c.runTP != nil {
 		t.Fatalf("%s: clone holds training scratch, running SVI statistics or an rng", what)
 	}
@@ -419,14 +414,14 @@ func checkCloneShares(t testing.TB, what string, c, m *Model) {
 // the live model's storage.
 func checkAtRest(t testing.TB, what string, m, returned *Model) {
 	t.Helper()
-	if m.ws.trainBufs != nil || m.panels.work != nil {
-		t.Fatalf("%s: the live model kept its training scratch or panel work", what)
+	if m.work != nil {
+		t.Fatalf("%s: the live model kept its call work", what)
 	}
 	if returned == nil {
 		t.Fatalf("%s: no finalize clone went back to its pool", what)
 	}
-	if returned.intern != nil || returned.panels != nil || returned.lambda != nil || returned.elogPsi != nil {
-		t.Fatalf("%s: the returned clone kept the live interner, panel cache or globals", what)
+	if returned.intern != nil || returned.panels != nil || returned.lambda != nil || returned.work != nil {
+		t.Fatalf("%s: the returned clone kept the live interner, panel cache, globals or call work", what)
 	}
 	live := storageOf(m)
 	for addr := range storageOf(returned) {
@@ -620,7 +615,7 @@ func TestPublishedViewsShareVotedLists(t *testing.T) {
 			pub := NewPublisher(m)
 			h := sha256.New()
 			var views []*ConsensusView
-			var copies [][][]int
+			var copies [][][]Candidate
 			extended, compactions := 0, 0
 			for round, b := range ds.Batches(cfg.BatchSize) {
 				before, intern := append([][]int(nil), m.votedList...), m.intern
@@ -641,9 +636,9 @@ func TestPublishedViewsShareVotedLists(t *testing.T) {
 				}
 				hashView(h, view, dirty)
 				views = append(views, view)
-				cands := make([][]int, len(view.Items))
+				cands := make([][]Candidate, len(view.Items))
 				for i, it := range view.Items {
-					cands[i] = append([]int(nil), it.Candidates...)
+					cands[i] = append([]Candidate(nil), it.Candidates...)
 				}
 				copies = append(copies, cands)
 			}
@@ -680,13 +675,26 @@ var viewGolden = map[string]string{
 }
 
 // hashView feeds a view and its dirty set to h: every label, candidate and
-// stat, and every confidence bit for bit.
+// stat, and every confidence bit for bit — the byte stream the golden
+// hashes were recorded over, when a view held its candidate labels and
+// confidences as two aligned slices.
 func hashView(h hash.Hash, v *ConsensusView, dirty []int) {
 	fmt.Fprintf(h, "%+v|%v|", v.Stats, dirty)
 	for _, it := range v.Items {
-		fmt.Fprintf(h, "%v|%v|", it.Labels, it.Candidates)
-		for _, c := range it.Confidence {
+		labels, conf := splitCandidates(it.Candidates)
+		fmt.Fprintf(h, "%v|%v|", it.Labels, labels)
+		for _, c := range conf {
 			fmt.Fprintf(h, "%x,", math.Float64bits(c))
 		}
 	}
+}
+
+// splitCandidates returns a candidate list's labels and confidences as two
+// aligned slices, nil for an empty list.
+func splitCandidates(cs []Candidate) (labels []int, conf []float64) {
+	for _, c := range cs {
+		labels = append(labels, c.Label)
+		conf = append(conf, c.Confidence)
+	}
+	return labels, conf
 }

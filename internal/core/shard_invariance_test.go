@@ -49,10 +49,12 @@ func sameViewBits(t testing.TB, what string, want, got *ConsensusView) {
 	}
 	for i := range want.Items {
 		w, g := want.Items[i], got.Items[i]
-		if !reflect.DeepEqual(w.Labels, g.Labels) || !reflect.DeepEqual(w.Candidates, g.Candidates) {
-			t.Fatalf("%s item %d: labels/candidates %v %v, want %v %v", what, i, g.Labels, g.Candidates, w.Labels, w.Candidates)
+		wl, wc := splitCandidates(w.Candidates)
+		gl, gc := splitCandidates(g.Candidates)
+		if w.Item != g.Item || !reflect.DeepEqual(w.Labels, g.Labels) || !reflect.DeepEqual(wl, gl) {
+			t.Fatalf("%s item %d: item/labels/candidates %d %v %v, want %d %v %v", what, i, g.Item, g.Labels, gl, w.Item, w.Labels, wl)
 		}
-		sameBits(t, fmt.Sprintf("%s item %d confidence", what, i), w.Confidence, g.Confidence)
+		sameBits(t, fmt.Sprintf("%s item %d confidence", what, i), wc, gc)
 	}
 }
 

@@ -1,5 +1,7 @@
 package core
 
+import "cpa/internal/labelset"
+
 // ModelStats is a cheap read-only summary of a model's training state, safe
 // to copy and publish outside the fitting goroutine. All fields are plain
 // values; none alias model storage.
@@ -43,25 +45,30 @@ func (m *Model) Stats() ModelStats {
 func (m *Model) BatchRounds() int { return m.batchIndex }
 
 // ItemConsensus is the read-only consensus for one item: the instantiated
-// label set plus the calibrated inclusion posterior of every voted candidate.
+// label set plus the calibrated inclusion posterior of every voted
+// candidate. It is also the served entry: serve publishes a view's Items
+// as its snapshot's consensus, so the JSON tags are the wire format.
 type ItemConsensus struct {
+	Item int `json:"item"`
 	// Labels is the predicted consensus label set, sorted ascending.
-	Labels []int
-	// Candidates lists the voted labels (sorted), Confidence the model's
-	// imputed truth probability ŷ for each (aligned with Candidates).
-	// Candidates is the model's own voted list, shared, not copied: the
-	// model only ever replaces an item's list, never writes into one, so a
-	// view's lists stay as published.
-	Candidates []int
-	Confidence []float64
+	Labels []int `json:"labels"`
+	// Candidates lists every voted label, sorted, with the model's imputed
+	// truth probability ŷ for it; nil when the item has no votes.
+	Candidates []Candidate `json:"candidates,omitempty"`
+}
+
+// Candidate is one voted label and its inclusion confidence.
+type Candidate struct {
+	Label      int     `json:"label"`
+	Confidence float64 `json:"confidence"`
 }
 
 // ConsensusView is a read-only export of the model's full consensus:
 // prediction, per-candidate confidences, and training stats. Readers must
-// not write into it. It shares only the voted lists with the model, which
-// training never mutates, so a fitting loop can build one per round and
-// hand it to concurrent readers (cpaserve publishes it behind an atomic
-// pointer) while training continues on the live model.
+// not write into it. It shares no storage with the model, so a fitting loop
+// can build one per round and hand it to concurrent readers (cpaserve
+// publishes its Items behind an atomic pointer) while training continues
+// on the live model.
 type ConsensusView struct {
 	Items []ItemConsensus
 	Stats ModelStats
@@ -81,23 +88,22 @@ func (m *Model) ConsensusView() (*ConsensusView, error) {
 		Stats: m.Stats(),
 	}
 	for i := range view.Items {
-		view.Items[i] = ItemConsensus{
-			Labels:     pred[i].Slice(),
-			Candidates: m.sharedVoted(i),
-			Confidence: append([]float64(nil), m.yhatVals[i]...),
-		}
+		view.Items[i] = m.itemConsensus(i, pred[i])
 	}
 	return view, nil
 }
 
-// sharedVoted returns item i's voted list for a view: nil when empty, as a
-// copy would be, and with its capacity clamped so an append by a reader
-// copies instead of writing past it.
-func (m *Model) sharedVoted(i int) []int {
-	if v := m.votedList[i]; len(v) > 0 {
-		return v[:len(v):len(v)]
+// itemConsensus packages item i's entry, in fresh storage, from its
+// predicted set and its current voted labels and ŷ.
+func (m *Model) itemConsensus(i int, pred labelset.Set) ItemConsensus {
+	it := ItemConsensus{Item: i, Labels: pred.Slice()}
+	if voted := m.votedList[i]; len(voted) > 0 {
+		it.Candidates = make([]Candidate, len(voted))
+		for k, c := range voted {
+			it.Candidates[k] = Candidate{Label: c, Confidence: m.yhatVals[i][k]}
+		}
 	}
-	return nil
+	return it
 }
 
 // Config returns the model's effective configuration (defaults filled).

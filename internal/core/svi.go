@@ -117,7 +117,7 @@ func (g *batchGroups) seg(j int) []ansRef { return g.refs[g.off[j]:g.off[j+1]] }
 // (see kernels.go); Algorithm 2 differs from Algorithm 1 only in the answer
 // subsets, population scaling, and the learning rate ω. Steady-state rounds
 // allocate only for genuine state growth (answer chunks, new label sets):
-// grouping, blending, and reduction scratch live in workScratch.
+// grouping, blending, and reduction scratch live in the call work.
 func (m *Model) PartialFit(batch []answers.Answer) error {
 	if len(batch) == 0 {
 		return nil
@@ -157,8 +157,10 @@ func (m *Model) PartialFit(batch []answers.Answer) error {
 	m.batchIndex++
 	omega := math.Pow(1+float64(m.batchIndex), -m.cfg.ForgettingRate)
 
-	// Serial sync point: panels for the round's label sets only (O(batch)
-	// panel work per round), at the generation the local steps will read.
+	// Serial sync point: the round's expectations, from the globals the
+	// previous round left, then panels for the round's label sets only
+	// (O(batch) panel work per round).
+	m.refreshExpectations()
 	m.ensureScorePanelsFor(tuples)
 
 	// Local step, workers: stochastic Eq. 2 from batch evidence, scaled to
@@ -233,7 +235,6 @@ func (m *Model) PartialFit(batch []answers.Answer) error {
 	// Worker-model statistics from the batch, blended into the running
 	// accumulators (ratios are scale-free, so raw batch counts suffice).
 	m.sviWorkerModelStep(items, omega)
-	m.refreshExpectations()
 	m.lastBatchDelta = maxDelta
 	m.fitted = true
 	m.streamFitted = true
@@ -250,9 +251,10 @@ func (m *Model) FinalizeOnline() {
 	if !m.streamFitted {
 		return
 	}
+	defer m.releaseScratch()
 	m.temp = 1
+	m.refreshExpectations()
 	m.updateLocal()
-	m.releasePanelWork() // only the local pass reads it
 	for pass := 0; pass < 3; pass++ {
 		m.updateReliability()
 		m.imputeTruth(nil)
@@ -287,7 +289,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	// --- λ̂ from the batch answers (Eq. 9 / 18), in batch arrival order,
 	// expanding each answer's interned set into its canonical members.
 	scaleA := float64(m.numAns) / float64(len(batch))
-	lhat := m.ws.lambdaSuff
+	lhat := m.work.lambdaSuff
 	mathx.Fill(lhat, 0)
 	for _, ba := range batch {
 		m.ws.canon = m.intern.AppendCanon(m.ws.canon[:0], ba.set)
@@ -297,7 +299,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 
 	// --- ζ̂ from the batch items' (imputed) truth (Eq. 10 / 18).
 	scaleI := float64(m.seenItems) / float64(len(items))
-	zhat := m.ws.zetaSuff
+	zhat := m.work.zetaSuff
 	mathx.Fill(zhat, 0)
 	for _, i := range items {
 		m.zetaItemStat(zhat, i)
@@ -307,7 +309,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 	// --- ρ̂ from the batch workers (Eqs. 11–12 / 19).
 	if M > 1 && !m.cfg.DisableCommunities {
 		scaleU := float64(m.seenWorkers) / float64(len(workers))
-		colSum := m.ws.colSumM
+		colSum := m.work.colSumM
 		mathx.Fill(colSum, 0)
 		m.kappa.ColSumsInto(colSum, workers)
 		applySticks(m.rho1, m.rho2, colSum, m.cfg.Alpha, scaleU, omega)
@@ -315,7 +317,7 @@ func (m *Model) sviGlobalStep(batch []batchAns, items, workers []int, omega floa
 
 	// --- υ̂ from the batch items (Eqs. 13–14 / 19).
 	if T > 1 && !m.cfg.DisableClusters {
-		colSum := m.ws.colSumT
+		colSum := m.work.colSumT
 		mathx.Fill(colSum, 0)
 		m.phi.ColSumsInto(colSum, items)
 		applySticks(m.ups1, m.ups2, colSum, m.cfg.Epsilon, scaleI, omega)
@@ -343,9 +345,10 @@ func (m *Model) sviWorkerModelStep(items []int, omega float64) {
 		m.runPrevD = make([]float64, C)
 	}
 	m.refreshHardSig(items)
-	coins := m.ws.coinStats
+	w := m.work // borrowed by refreshHardSig
+	coins := w.coinStats
 	mathx.Fill(coins, 0)
-	agree := m.ws.agreeStats
+	agree := w.agreeStats
 	mathx.Fill(agree, 0)
 	for _, i := range items {
 		m.itemCoinStats(i, coins)
@@ -419,7 +422,7 @@ func (m *Model) extendVoted(g *batchGroups) {
 
 func (m *Model) extendVotedItem(i int, refs []ansRef) {
 	cur := m.votedList[i]
-	s := &m.ws.voted
+	s := &m.work.voted
 	s.Clear()
 	for _, c := range cur {
 		s.Add(c)

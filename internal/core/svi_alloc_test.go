@@ -9,7 +9,7 @@ import (
 // TestPartialFitSteadyStateAllocs pins the per-round allocation budget of
 // the SVI hot loop. A steady-state round — batch grouping, local blending,
 // global step, worker model, expectation refresh — works entirely out of
-// workScratch; what remains is genuine state growth (answer-chunk and
+// the call work; what remains is genuine state growth (answer-chunk and
 // arrival-index appends, occasional new interned label sets or panel-cache
 // growth), which amortises to a few dozen allocations per round (~40
 // measured on the reference machine, dominated by answer-list growth). The

@@ -31,6 +31,22 @@ func New(n int) Set {
 	return Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewMany returns count empty sets with capacity for labels in [0, n),
+// backed by one allocation. Each set's words are a capacity-clamped window
+// of it, so growing one set past n reallocates that set alone.
+func NewMany(count, n int) []Set {
+	sets := make([]Set, count)
+	if n <= 0 {
+		return sets
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // FromSlice builds a set from label indices. Negative labels panic: labels
 // are vocabulary indices and a negative one is a programming error.
 func FromSlice(labels []int) Set {

@@ -3,6 +3,7 @@ package labelset
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,25 @@ func TestZeroValueUsable(t *testing.T) {
 	s.Add(130)
 	if !s.Contains(130) || s.Len() != 1 {
 		t.Error("Add on zero value failed")
+	}
+}
+
+// TestNewManySetsAreIndependent: sets sharing NewMany's backing never see
+// each other's members, also when one grows past the capacity hint.
+func TestNewManySetsAreIndependent(t *testing.T) {
+	sets := NewMany(3, 70)
+	sets[0].Add(69)
+	sets[1].Add(0)
+	sets[1].Add(200) // past the hint: reallocates sets[1] alone
+	sets[2].Add(64)
+	for k, want := range [][]int{{69}, {0, 200}, {64}} {
+		if got := sets[k].Slice(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d = %v, want %v", k, got, want)
+		}
+	}
+	sets[1].Clear()
+	if got := sets[2].Slice(); !reflect.DeepEqual(got, []int{64}) {
+		t.Fatalf("clearing a neighbour changed set 2 to %v", got)
 	}
 }
 

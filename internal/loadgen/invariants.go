@@ -243,12 +243,11 @@ func diffSnapshot(snap *serve.Snapshot, view *core.ConsensusView) error {
 			return fmt.Errorf("item %d: served %d candidates, replay %d", i, len(got.Candidates), len(item.Candidates))
 		}
 		for k, c := range item.Candidates {
-			if got.Candidates[k].Label != c {
-				return fmt.Errorf("item %d candidate %d: served label %d, replay %d", i, k, got.Candidates[k].Label, c)
-			}
-			if got.Candidates[k].Confidence != item.Confidence[k] {
+			if g := got.Candidates[k]; g.Label != c.Label {
+				return fmt.Errorf("item %d candidate %d: served label %d, replay %d", i, k, g.Label, c.Label)
+			} else if g.Confidence != c.Confidence {
 				return fmt.Errorf("item %d candidate %d (label %d): served confidence %v, replay %v",
-					i, k, c, got.Candidates[k].Confidence, item.Confidence[k])
+					i, k, c.Label, g.Confidence, c.Confidence)
 			}
 		}
 	}

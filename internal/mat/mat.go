@@ -62,17 +62,6 @@ func (d *Dense) Fill(x float64) { mathx.Fill(d.data, x) }
 // Zero sets every element to 0.
 func (d *Dense) Zero() { d.Fill(0) }
 
-// Scale multiplies every element by s in place.
-func (d *Dense) Scale(s float64) { mathx.Scale(d.data, s) }
-
-// AXPY computes d += a*x element-wise. It panics on shape mismatch.
-func (d *Dense) AXPY(a float64, x *Dense) {
-	if d.rows != x.rows || d.cols != x.cols {
-		panic("mat: AXPY shape mismatch")
-	}
-	mathx.Axpy(a, x.data, d.data)
-}
-
 // CopyFrom copies src's contents into d. It panics on shape mismatch.
 func (d *Dense) CopyFrom(src *Dense) {
 	if d.rows != src.rows || d.cols != src.cols {

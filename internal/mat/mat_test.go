@@ -26,10 +26,6 @@ func TestDenseBasics(t *testing.T) {
 			t.Fatalf("Fill left %v", d.Data())
 		}
 	}
-	d.Scale(0.5)
-	if d.At(0, 0) != 1 {
-		t.Fatalf("Scale gave %v", d.At(0, 0))
-	}
 	d.Zero()
 	if d.At(1, 1) != 0 {
 		t.Fatal("Zero failed")
@@ -49,9 +45,8 @@ func TestCloneCopyAXPYDiff(t *testing.T) {
 	}
 	c := New(2, 2)
 	c.CopyFrom(a)
-	c.AXPY(2, a) // c = 3a
-	if c.At(1, 1) != 12 {
-		t.Fatalf("AXPY gave %v", c.Data())
+	if c.At(1, 1) != 4 {
+		t.Fatalf("CopyFrom gave %v", c.Data())
 	}
 }
 

@@ -10,9 +10,6 @@ package mathx
 
 import "math"
 
-// Euler is the Euler–Mascheroni constant γ, i.e. -ψ(1) where ψ is digamma.
-const Euler = 0.57721566490153286060651209008240243104215933593992
-
 // digammaLargeCutoff is the argument above which the asymptotic expansion of
 // the digamma function is accurate to near machine precision. Arguments below
 // the cutoff are shifted upward with the recurrence ψ(x) = ψ(x+1) - 1/x.

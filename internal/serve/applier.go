@@ -83,11 +83,11 @@ func (ap *Applier) Apply(e JournalEntry) error {
 }
 
 func (ap *Applier) publish(full bool) error {
-	view, dirty, err := ap.pub.Publish(full)
+	view, _, err := ap.pub.Publish(full)
 	if err != nil {
 		return fmt.Errorf("serve: follower publishing snapshot: %w", err)
 	}
-	ap.snap.Store(nextSnapshot(ap.spec.ID, ap.snap.Load(), view, dirty, time.Now()))
+	ap.snap.Store(nextSnapshot(ap.spec.ID, view, time.Now()))
 	return nil
 }
 

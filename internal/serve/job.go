@@ -727,6 +727,10 @@ func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 			}
 			bp := batchPool.Get().(*[]answers.Answer)
 			*bp = append((*bp)[:0], j.queue[j.head:j.head+take]...)
+			// The batch holds its own copies: clear the taken slots so
+			// the queue's backing array does not pin their decoded label
+			// storage until an append overwrites them.
+			clear(j.queue[j.head : j.head+take])
 			j.head += take
 			if j.head == len(j.queue) {
 				j.queue = j.queue[:0]
@@ -740,6 +744,7 @@ func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 				// Compact once the dead prefix dominates, so a long-lived
 				// backlog doesn't pin memory for answers already fitted.
 				rest := copy(j.queue, j.queue[j.head:])
+				clear(j.queue[rest:])
 				j.queue = j.queue[:rest]
 				j.head = 0
 			}
@@ -860,7 +865,7 @@ func (j *Job) publish(full bool) error {
 		return fmt.Errorf("serve: building snapshot: %w", err)
 	}
 	now := time.Now()
-	j.snap.Store(nextSnapshot(j.spec.ID, j.snap.Load(), view, dirty, now))
+	j.snap.Store(nextSnapshot(j.spec.ID, view, now))
 	j.snapTime.Store(now.UnixNano())
 	d := time.Since(start)
 	j.pubHist.Observe(int64(d))

@@ -11,10 +11,11 @@ import (
 // Snapshot is one immutable, JSON-ready consensus publication. The fitter
 // builds a fresh Snapshot after each round and swaps it behind the job's
 // atomic pointer; readers share the value without copying, so nothing in a
-// published Snapshot may ever be mutated. Across incremental rounds,
-// ItemSnapshot entries for untouched items are shared with the previous
-// Snapshot (nextSnapshot) — the same immutability contract, extended
-// backwards in time.
+// published Snapshot may ever be mutated. Its consensus is the published
+// core view's entries themselves, and across incremental rounds the
+// entries of untouched items are shared with the previous publication
+// (core.Publisher) — the same immutability contract, extended backwards in
+// time.
 type Snapshot struct {
 	JobID   string `json:"job_id"`
 	Round   int    `json:"round"`   // fit rounds behind this snapshot
@@ -28,7 +29,8 @@ type Snapshot struct {
 
 	CreatedAt time.Time `json:"created_at"`
 
-	// Consensus holds one entry per item (index == item id).
+	// Consensus holds one entry per item (index == item id): the view's
+	// Items, shared, not copied.
 	Consensus []ItemSnapshot `json:"consensus"`
 
 	// enc caches the encoded JSON of this snapshot so concurrent
@@ -65,21 +67,13 @@ func (s *Snapshot) encodedBody() ([]byte, error) {
 	return raw, nil
 }
 
-// ItemSnapshot is one item's published consensus.
-type ItemSnapshot struct {
-	Item int `json:"item"`
-	// Labels is the instantiated consensus label set (paper §3.4).
-	Labels []int `json:"labels"`
-	// Candidates lists every voted label with the model's calibrated
-	// inclusion posterior, so clients can apply their own thresholds.
-	Candidates []CandidateSnapshot `json:"candidates,omitempty"`
-}
+// ItemSnapshot is one item's published consensus: its instantiated label
+// set (paper §3.4) and every voted label with the model's calibrated
+// inclusion posterior, so clients can apply their own thresholds.
+type ItemSnapshot = core.ItemConsensus
 
 // CandidateSnapshot is one voted label and its inclusion confidence.
-type CandidateSnapshot struct {
-	Label      int     `json:"label"`
-	Confidence float64 `json:"confidence"`
-}
+type CandidateSnapshot = core.Candidate
 
 // emptySnapshot is published at job start so readers always see a snapshot
 // (round 0, no consensus) rather than a 404.
@@ -95,25 +89,12 @@ func emptySnapshot(spec JobSpec, now time.Time) *Snapshot {
 	}
 }
 
-// itemSnapshot packages one item's consensus entry.
-func itemSnapshot(i int, item core.ItemConsensus) ItemSnapshot {
-	is := ItemSnapshot{Item: i, Labels: item.Labels}
-	if len(item.Candidates) > 0 {
-		is.Candidates = make([]CandidateSnapshot, len(item.Candidates))
-		for k, c := range item.Candidates {
-			is.Candidates[k] = CandidateSnapshot{Label: c, Confidence: item.Confidence[k]}
-		}
-	}
-	return is
-}
-
-// nextSnapshot packages a consensus view for publication. With a non-nil
-// dirty set (incremental round) it rebuilds only the refreshed items'
-// entries and shares every other ItemSnapshot — including its Candidates
-// backing — with the previous publication; a nil dirty set rebuilds
-// everything.
-func nextSnapshot(jobID string, prev *Snapshot, view *core.ConsensusView, dirty []int, now time.Time) *Snapshot {
-	s := &Snapshot{
+// nextSnapshot packages a consensus view for publication. The snapshot's
+// consensus is the view's Items array: the publisher already built it
+// fresh for this round, rebuilding the refreshed items' entries and
+// sharing every other entry with the previous view.
+func nextSnapshot(jobID string, view *core.ConsensusView, now time.Time) *Snapshot {
+	return &Snapshot{
 		JobID:                jobID,
 		Round:                view.Stats.BatchRounds,
 		Answers:              view.Stats.Answers,
@@ -123,18 +104,7 @@ func nextSnapshot(jobID string, prev *Snapshot, view *core.ConsensusView, dirty 
 		EffectiveCommunities: view.Stats.EffectiveCommunities,
 		EffectiveClusters:    view.Stats.EffectiveClusters,
 		CreatedAt:            now,
-		Consensus:            make([]ItemSnapshot, len(view.Items)),
+		Consensus:            view.Items,
 		enc:                  &snapshotEnc{},
 	}
-	if dirty != nil && prev != nil && len(prev.Consensus) == len(view.Items) {
-		copy(s.Consensus, prev.Consensus)
-		for _, i := range dirty {
-			s.Consensus[i] = itemSnapshot(i, view.Items[i])
-		}
-		return s
-	}
-	for i, item := range view.Items {
-		s.Consensus[i] = itemSnapshot(i, item)
-	}
-	return s
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,44 @@ func TestNextBatchWindowCountsFromAdmission(t *testing.T) {
 	j.mu.Unlock()
 	if b := takeBatch(t, j, 5*time.Second); len(b) != 3 {
 		t.Fatalf("took %d answers, want the 3 queued", len(b))
+	}
+}
+
+// TestNextBatchClearsTakenSlots: the fitter queue keeps no copy of an
+// answer it handed out, so decoded label storage is not pinned by the
+// queue's backing array — neither by slots a take left behind nor by the
+// tail a compaction vacated.
+func TestNextBatchClearsTakenSlots(t *testing.T) {
+	j := idleJob(t, 0)
+	ingest := func(n int) {
+		batch := make([]answers.Answer, 0, n)
+		for i := 0; i < n; i++ {
+			batch = append(batch, oneAnswer(i)[0])
+		}
+		if err := j.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 1000 queued, 15 full takes, 100 more: the 16th take moves head past
+	// 1024 and compacts the queue with a remainder behind it.
+	ingest(1000)
+	for k := 0; k < 15; k++ {
+		takeBatch(t, j, 5*time.Second)
+	}
+	ingest(100)
+	taken := 15 * 64
+	for taken < 1100 {
+		taken += len(takeBatch(t, j, 5*time.Second))
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n := len(j.queue) - j.head; n != 0 {
+		t.Fatalf("%d answers still queued after the drain", n)
+	}
+	for k, a := range j.queue[:cap(j.queue)] {
+		if !reflect.ValueOf(a).IsZero() {
+			t.Fatalf("queue slot %d of %d still holds %+v after the drain", k, cap(j.queue), a)
+		}
 	}
 }
 
