@@ -75,13 +75,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestAnswerRefsAre8Bytes pins the per-answer footprint: every answer costs
-// one ansRef in perWorker, one in perItem and one arrivalRef.
+// one 8-byte ansRef in perWorker, one in perItem and a 4-byte item id in
+// the arrival index, 20 bytes in all.
 func TestAnswerRefsAre8Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(ansRef{}); got != 8 {
 		t.Errorf("ansRef is %d bytes, want 8", got)
 	}
-	if got := unsafe.Sizeof(arrivalRef{}); got != 8 {
-		t.Errorf("arrivalRef is %d bytes, want 8", got)
+	var m Model
+	if got := unsafe.Sizeof(m.arrival[0]); got != 4 {
+		t.Errorf("an arrival entry is %d bytes, want 4", got)
 	}
 }
 

@@ -60,7 +60,8 @@ func (m *Model) ELBO() float64 {
 	// --- E[ln p(y | l, φ)]: revealed or imputed truth under emissions.
 	for i := 0; i < m.numItems; i++ {
 		phiRow := m.phi.Row(i)
-		voted := m.votedList[i]
+		var vb [votedStack]int
+		voted := m.voted(i, vb[:])
 		vals := m.yhatVals[i]
 		for t := 0; t < T; t++ {
 			pt := phiRow[t]

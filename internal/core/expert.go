@@ -45,15 +45,14 @@ func (m *Model) SetExpertCooccurrence(cooc [][]float64) error {
 }
 
 // expertPriorFloor returns the strongest expert implication toward label c
-// from the labels currently believed present on the item (imputed
-// expectation above ½). Returns 0 when no expert knowledge is installed.
-func (m *Model) expertPriorFloor(i, c int) float64 {
+// from the labels currently believed present on an item, given its voted
+// labels and their aligned ŷ (imputed expectation above ½). Returns 0 when
+// no expert knowledge is installed.
+func (m *Model) expertPriorFloor(voted []int, vals []float64, c int) float64 {
 	if m.expertCooc == nil {
 		return 0
 	}
 	best := 0.0
-	voted := m.votedList[i]
-	vals := m.yhatVals[i]
 	for k, a := range voted {
 		if a == c || vals[k] <= 0.5 {
 			continue

@@ -22,7 +22,7 @@ func (m *Model) imputeItemReferee(i int) {
 		m.imputeItem(i)
 		return
 	}
-	voted := m.votedList[i]
+	voted := m.votedSets[i].Slice()
 	vals := m.yhatVals[i]
 	l := &m.perItem[i]
 	T := m.T
@@ -41,7 +41,7 @@ func (m *Model) imputeItemReferee(i int) {
 			prior = lp
 		}
 		if m.expertCooc != nil {
-			prior = math.Max(prior, 0.9*m.expertPriorFloor(i, c))
+			prior = math.Max(prior, 0.9*m.expertPriorFloor(voted, vals, c))
 		}
 		prior = mathx.Clamp(prior, 0.05, 0.90)
 		logOdds := math.Log(prior) - math.Log1p(-prior)

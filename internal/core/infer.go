@@ -379,7 +379,8 @@ func (m *Model) imputePrep() {
 // It reads only the item's own state (ϕ row, votes, answers) plus shared
 // read-only inputs, so calls on distinct items are independent.
 func (m *Model) imputeItem(i int) {
-	voted := m.votedList[i]
+	var vb [votedStack]int
+	voted := m.voted(i, vb[:])
 	vals := m.yhatVals[i]
 	if truth := m.revealedTruth[i]; truth != nil {
 		// Revealed items carry exact expectations.
@@ -455,7 +456,7 @@ func (m *Model) imputeItem(i int) {
 		if expert {
 			// §6 extension: expert conditional probabilities floor the
 			// prior of labels implied by currently-believed ones.
-			prior = math.Max(prior, 0.9*m.expertPriorFloor(i, c))
+			prior = math.Max(prior, 0.9*m.expertPriorFloor(voted, vals, c))
 		}
 		prior = mathx.Clamp(prior, 0.05, 0.90)
 		var logOdds float64

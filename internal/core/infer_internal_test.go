@@ -126,7 +126,7 @@ func TestRevealedTruthPinsImputation(t *testing.T) {
 	}
 	m.imputeTruth(nil)
 	// Voted list is {0(truth),1,2}; only the true label carries weight 1.
-	for k, c := range m.votedList[0] {
+	for k, c := range m.votedSets[0].Slice() {
 		want := 0.0
 		if c == 0 {
 			want = 1

@@ -78,7 +78,7 @@ func (m *Model) instantiateItemReferee(i int, phiMAP, nbar []float64, sc *predic
 	candidates := m.predictCandidates(i, m.clusterPriorsInto(phiMAP, nbar, nil), sc)
 	nAns := float64(m.perItem[i].Len())
 	voteWeight := (nAns + 1) / (nAns + 3)
-	voted := m.votedList[i]
+	voted := m.votedSets[i].Slice()
 	yv := sc.yv[:0]
 	for k := range candidates {
 		if k < len(voted) {

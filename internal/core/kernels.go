@@ -154,7 +154,8 @@ func (m *Model) scorePhiBase(i int, dst []float64) {
 			dst[t] += s
 		}
 	} else if !m.cfg.GroundTruthOnly {
-		voted := m.votedList[i]
+		var vb [votedStack]int
+		voted := m.voted(i, vb[:])
 		vals := m.yhatVals[i]
 		for t := 0; t < T; t++ {
 			row := elogPhi.Row(t)
@@ -365,6 +366,12 @@ func (m *Model) zetaItemStat(buf []float64, i int) {
 		return
 	}
 	phiRow := m.phi.Row(i)
+	var vb [votedStack]int
+	var voted []int
+	if truth == nil {
+		voted = m.voted(i, vb[:])
+	}
+	vals := m.yhatVals[i]
 	for t := 0; t < T; t++ {
 		pt := phiRow[t]
 		if pt < respFloor {
@@ -377,8 +384,6 @@ func (m *Model) zetaItemStat(buf []float64, i int) {
 			}
 			continue
 		}
-		voted := m.votedList[i]
-		vals := m.yhatVals[i]
 		for k, c := range voted {
 			if v := vals[k]; v > respFloor {
 				buf[base+c] += pt * v
@@ -430,42 +435,49 @@ func applySticks(a, b, colSum []float64, conc, scale, omega float64) {
 // (or revealed) expectation exceeds ½, or the single strongest label as a
 // fallback when none does (so every answered item has a non-empty
 // signature), kept as a bitset so the agreement and two-coin kernels can
-// intersect answers against it in O(words), plus its size.
+// intersect answers against it in O(words), plus its size. The full
+// refresh runs on the Algorithm 3 shards: each item writes only its own
+// signature.
 func (m *Model) refreshHardSig(items []int) {
 	w := m.borrowWork()
 	if w.sigSet == nil {
 		w.sigSet = labelset.NewMany(m.numItems, m.numLabels)
 	}
-	apply := func(i int) {
-		vals := m.yhatVals[i]
-		voted := m.votedList[i]
-		sig := &w.sigSet[i]
-		sig.Clear()
-		cnt, bestK, bestV := 0, -1, 0.0
-		for k, v := range vals {
-			if v > 0.5 {
-				cnt++
-				sig.Add(voted[k])
-			}
-			if v > bestV {
-				bestK, bestV = k, v
-			}
-		}
-		if cnt == 0 && bestK >= 0 {
-			cnt = 1
-			sig.Add(voted[bestK])
-		}
-		w.sigLen[i] = cnt
-	}
 	if items == nil {
-		for i := 0; i < m.numItems; i++ {
-			apply(i)
-		}
+		m.parallelFor(m.numItems, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				m.hardSigItem(w, i)
+			}
+		})
 		return
 	}
 	for _, i := range items {
-		apply(i)
+		m.hardSigItem(w, i)
 	}
+}
+
+// hardSigItem recomputes item i's hardened signature and its size into w.
+func (m *Model) hardSigItem(w *callWork, i int) {
+	vals := m.yhatVals[i]
+	var vb [votedStack]int
+	voted := m.voted(i, vb[:])
+	sig := &w.sigSet[i]
+	sig.Clear()
+	cnt, bestK, bestV := 0, -1, 0.0
+	for k, v := range vals {
+		if v > 0.5 {
+			cnt++
+			sig.Add(voted[k])
+		}
+		if v > bestV {
+			bestK, bestV = k, v
+		}
+	}
+	if cnt == 0 && bestK >= 0 {
+		cnt = 1
+		sig.Add(voted[bestK])
+	}
+	w.sigLen[i] = cnt
 }
 
 // jaccardWithSig returns the Jaccard agreement between an interned answer
@@ -505,9 +517,9 @@ func (m *Model) coinOffsets() (tp, tpD, fp, fpD, prevN, prevD, tpU, tpDU, fpU, f
 // the batch pass (all items, sharded) and the SVI pass (batch items only).
 func (m *Model) itemCoinStats(i int, buf []float64) {
 	_, _, _, _, offPrevN, offPrevD, _, _, _, _ := m.coinOffsets()
-	voted := m.votedList[i]
 	vals := m.yhatVals[i]
-	for k, c := range voted {
+	var vb [votedStack]int
+	for k, c := range m.voted(i, vb[:]) {
 		buf[offPrevN+c] += vals[k]
 		buf[offPrevD+c]++
 	}
@@ -531,7 +543,7 @@ func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
 	// Hardened-signature sizes are per-item constants: every answer asserts
 	// or misses against the same nPos positive and nNeg negative slots.
 	nPos := m.work.sigLen[i]
-	nNeg := len(m.votedList[i]) - nPos
+	nNeg := len(m.yhatVals[i]) - nPos
 	for _, ar := range refs {
 		u := int(ar.other)
 		kappaRow := m.kappa.Row(u)

@@ -235,13 +235,6 @@ type ansRef struct {
 	set   int32 // interned label-set id of x_iu
 }
 
-// arrivalRef locates one ingested answer by arrival order:
-// perItem[item][idx], 8 bytes. NewModel bounds item; idx would pass
-// MaxInt32 only after one item took 2³¹ answers, 48 GiB of references.
-type arrivalRef struct {
-	item, idx int32
-}
-
 // Model holds the variational posterior of a CPA instance. Create with
 // NewModel, train with Fit (batch) or FitStream/PartialFit (online), then
 // call Predict.
@@ -279,13 +272,15 @@ type Model struct {
 	// immutable prefix structurally (see chunks.go).
 	perWorker []ansList
 	perItem   []ansList
-	// arrival records global ingestion order as (item, index-in-perItem)
-	// pairs. Persistence flattens answers in this order so a restored
-	// model rebuilds perWorker/perItem with identical element order —
-	// float reductions over those lists, and therefore continued
+	// arrival records global ingestion order as item ids, 4 bytes per
+	// answer: the k-th occurrence of item i is perItem[i].at(k), so the two
+	// cold walks that need answer positions (Save, maybeCompactWindow)
+	// recount them per item. Persistence flattens answers in this order so
+	// a restored model rebuilds perWorker/perItem with identical element
+	// order — float reductions over those lists, and therefore continued
 	// PartialFit rounds, stay bit-for-bit reproducible after a reload.
 	// Append-only: clones share it by capacity-clamped header copy.
-	arrival []arrivalRef
+	arrival []int32
 	numAns  int
 	// totalAns counts every answer ever ingested, monotone across the
 	// AnswerWindow compactions that shrink numAns (the retained count).
@@ -318,7 +313,11 @@ type Model struct {
 
 	// Imputed truth expectations ŷ (DESIGN.md D2) and the community-level
 	// two-coin worker model that calibrates them.
-	votedList  [][]int // per item: sorted union of voted labels
+	// votedSets[i] is the union of item i's voted labels (and its revealed
+	// truth); yhatVals[i] is aligned with its members in ascending order, so
+	// label c sits at its rank in the set. Rebind, never mutate: clones
+	// share the sets by header.
+	votedSets  []labelset.Set
 	yhatVals   [][]float64
 	relm       []float64 // M community reliabilities in [0,1] (agreement)
 	workerRelW []float64 // U: Σ_m κ_um rel_m
@@ -518,7 +517,7 @@ func (m *Model) allocateLocal() {
 	m.revealedTruth = make([][]int, I)
 	m.kappa = mat.New(U, M)
 	m.phi = mat.New(I, T)
-	m.votedList = make([][]int, I)
+	m.votedSets = make([]labelset.Set, I)
 	m.yhatVals = make([][]float64, I)
 	m.relm = make([]float64, M)
 	m.workerRelW = make([]float64, U)
@@ -589,7 +588,8 @@ func (m *Model) seedFromData() {
 	// to the top-ŷ label).
 	signatures := make([][]int, m.numItems)
 	for i := 0; i < m.numItems; i++ {
-		voted := m.votedList[i]
+		var vb [votedStack]int
+		voted := m.voted(i, vb[:])
 		vals := m.yhatVals[i]
 		var sig []int
 		bestK, bestV := -1, 0.0
@@ -746,7 +746,7 @@ func (m *Model) store(item, worker int, id int32) {
 	}
 	m.perWorker[worker].append(ansRef{other: int32(item), set: id})
 	m.perItem[item].append(ansRef{other: int32(worker), set: id})
-	m.arrival = append(m.arrival, arrivalRef{item: int32(item), idx: int32(m.perItem[item].Len() - 1)})
+	m.arrival = append(m.arrival, int32(item))
 	m.numAns++
 }
 
@@ -766,13 +766,23 @@ func (m *Model) maybeCompactWindow() {
 	if w <= 0 || m.numAns <= 2*w {
 		return
 	}
+	// The kept suffix holds the last few answers of each item it names, in
+	// order: each item's walk starts that many answers before the end of
+	// its list.
 	keep := m.arrival[len(m.arrival)-w:]
-	items := make([]int32, len(keep))
+	next := make([]int32, m.numItems)
+	for _, item := range keep {
+		next[item]++
+	}
+	for i := range next {
+		next[i] = int32(m.perItem[i].Len()) - next[i]
+	}
 	workers := make([]int32, len(keep))
 	sets := make([]int32, len(keep))
-	for k, at := range keep {
-		ref := m.perItem[at.item].at(int(at.idx))
-		items[k], workers[k], sets[k] = at.item, ref.other, ref.set
+	for k, item := range keep {
+		ref := m.perItem[item].at(int(next[item]))
+		next[item]++
+		workers[k], sets[k] = ref.other, ref.set
 	}
 	// Rebind, never truncate in place: publisher clones and snapshots may
 	// still hold shared views of the old chunks, arrival array, and interner.
@@ -794,13 +804,13 @@ func (m *Model) maybeCompactWindow() {
 	// The scratch product-panel cache is keyed by interned set id too; its
 	// slot map would index past the rebuilt interner.
 	m.ws.prod.reset()
-	for k, item := range items {
+	for k, item := range keep {
 		m.store(int(item), int(workers[k]), m.intern.Intern(old.At(sets[k])))
 	}
 }
 
-// rebuildVoted recomputes, per item, the sorted union of voted labels and
-// resets the imputed-truth storage aligned with it.
+// rebuildVoted recomputes, per item, the union of voted labels and resets
+// the imputed-truth storage aligned with it.
 func (m *Model) rebuildVoted() {
 	for i := 0; i < m.numItems; i++ {
 		var s labelset.Set
@@ -810,8 +820,8 @@ func (m *Model) rebuildVoted() {
 		for _, c := range m.revealedTruth[i] {
 			s.Add(c)
 		}
-		m.votedList[i] = s.Slice()
-		m.yhatVals[i] = make([]float64, len(m.votedList[i]))
+		m.votedSets[i] = s
+		m.yhatVals[i] = make([]float64, s.Len())
 	}
 }
 
@@ -1029,9 +1039,10 @@ func (m *Model) Clone() *Model {
 		c.perItem[i] = m.perItem[i].shareClone()
 	}
 	c.arrival = m.arrival[:len(m.arrival):len(m.arrival)]
-	// Inner slices are rebind-only (never mutated in place): share them.
+	// Inner slices and sets are rebind-only (never mutated in place): share
+	// them.
 	c.revealedTruth = append([][]int(nil), m.revealedTruth...)
-	c.votedList = append([][]int(nil), m.votedList...)
+	c.votedSets = append([]labelset.Set(nil), m.votedSets...)
 	// yhatVals entries ARE mutated in place by imputeTruth: deep-copy.
 	c.yhatVals = make([][]float64, len(m.yhatVals))
 	for i := range m.yhatVals {
@@ -1144,6 +1155,18 @@ func (m *Model) answerScore(t, mm int, xs []int) float64 {
 		s += psi[base+c]
 	}
 	return s
+}
+
+// votedStack is the voted-label count the per-item expansions hold in a
+// stack buffer (voted); an item with more voted labels expands onto the
+// heap.
+const votedStack = 64
+
+// voted expands item i's voted labels into buf, ascending — the order its
+// ŷ entries are aligned with — and returns them. The hot loops expand an
+// item once and index the result, never re-walking the bits per answer.
+func (m *Model) voted(i int, buf []int) []int {
+	return m.votedSets[i].AppendTo(buf[:0])
 }
 
 // NumAnswers returns the number of answers the model currently retains in

@@ -6,7 +6,7 @@ import (
 	"io"
 	"math/rand"
 
-	"cpa/internal/mathx"
+	"cpa/internal/labelset"
 )
 
 // modelState is the gob wire form of a trained model: configuration,
@@ -76,8 +76,7 @@ func (m *Model) Save(w io.Writer) error {
 		M: m.M, T: m.T,
 		Kappa: m.kappa.Data(), Phi: m.phi.Data(), Lambda: m.lambda.Data(), Zeta: m.zeta.Data(),
 		Rho1: m.rho1, Rho2: m.rho2, Ups1: m.ups1, Ups2: m.ups2,
-		VotedList: m.votedList, YhatVals: m.yhatVals,
-		Relm: m.relm, WorkerRelW: m.workerRelW,
+		YhatVals: m.yhatVals, Relm: m.relm, WorkerRelW: m.workerRelW,
 		TprM: m.tprM, FprM: m.fprM, VoteLW: m.voteLW, MissLW: m.missLW,
 		LabelPrev: m.labelPrev, HaveRates: m.haveRates,
 		BatchIndex: m.batchIndex, Fitted: m.fitted,
@@ -88,6 +87,19 @@ func (m *Model) Save(w io.Writer) error {
 		Revealed: m.revealedTruth,
 		TotalAns: m.totalAns,
 	}
+	// The voted sets as the sorted lists the format holds: windows of one
+	// flat buffer, sized from ŷ (aligned with the sets).
+	nVoted := 0
+	for _, vals := range m.yhatVals {
+		nVoted += len(vals)
+	}
+	voted := make([]int, 0, nVoted)
+	st.VotedList = make([][]int, m.numItems)
+	for i, s := range m.votedSets {
+		lo := len(voted)
+		voted = s.AppendTo(voted)
+		st.VotedList[i] = voted[lo:len(voted):len(voted)]
+	}
 	// Every interned set's members, expanded once in id order into one
 	// flat buffer: each answer's labels are a window of it, so the encoding
 	// holds the same sorted member lists with no allocation per answer.
@@ -97,11 +109,15 @@ func (m *Model) Save(w io.Writer) error {
 		flat = m.intern.AppendCanon(flat, int32(id))
 		ends[id+1] = len(flat)
 	}
+	// The arrival index holds item ids: the k-th occurrence of an item is
+	// the k-th answer of its list.
 	n := len(m.arrival)
 	st.AnsItems, st.AnsWorkers, st.AnsLabels = make([]int, 0, n), make([]int, 0, n), make([][]int, 0, n)
-	for _, at := range m.arrival {
-		ref := m.perItem[at.item].at(int(at.idx))
-		st.AnsItems = append(st.AnsItems, int(at.item))
+	next := make([]int32, m.numItems)
+	for _, item := range m.arrival {
+		ref := m.perItem[item].at(int(next[item]))
+		next[item]++
+		st.AnsItems = append(st.AnsItems, int(item))
 		st.AnsWorkers = append(st.AnsWorkers, int(ref.other))
 		lo, hi := ends[ref.set], ends[ref.set+1]
 		st.AnsLabels = append(st.AnsLabels, flat[lo:hi:hi])
@@ -206,12 +222,19 @@ func Load(r io.Reader) (*Model, error) {
 	if len(st.VotedList) != m.numItems || len(st.YhatVals) != m.numItems {
 		return nil, fmt.Errorf("%w: saved per-item state has wrong length", ErrConfig)
 	}
-	for i := range st.VotedList {
-		m.votedList[i] = st.VotedList[i]
-		m.yhatVals[i] = st.YhatVals[i]
-		if len(m.votedList[i]) != len(m.yhatVals[i]) {
+	for i, voted := range st.VotedList {
+		// ŷ is aligned with the set's members in ascending order, so the
+		// list must be strictly ascending labels to convert.
+		for k, c := range voted {
+			if c < 0 || c >= m.numLabels || (k > 0 && c <= voted[k-1]) {
+				return nil, fmt.Errorf("%w: item %d voted list %v is not strictly ascending labels in [0, %d)", ErrConfig, i, voted, m.numLabels)
+			}
+		}
+		if len(voted) != len(st.YhatVals[i]) {
 			return nil, fmt.Errorf("%w: item %d voted/yhat length mismatch", ErrConfig, i)
 		}
+		m.votedSets[i] = labelset.FromSlice(voted)
+		m.yhatVals[i] = st.YhatVals[i]
 	}
 	if len(st.AnsItems) != len(st.AnsWorkers) || len(st.AnsItems) != len(st.AnsLabels) {
 		return nil, fmt.Errorf("%w: saved answers malformed", ErrConfig)
@@ -252,6 +275,5 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("%w: non-positive lambda in saved state", ErrConfig)
 		}
 	}
-	_ = mathx.Sum // keep import stable for future validations
 	return m, nil
 }

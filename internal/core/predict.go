@@ -310,11 +310,11 @@ func (m *Model) instantiateItem(i int, prior []float64, sc *predictScratch) labe
 	// labels first, in voted order, so the alignment is positional; the
 	// prior-driven extras carry 0 (nobody voted them), as the old per-item
 	// map defaulted.
-	voted := m.votedList[i]
+	vals := m.yhatVals[i]
 	yv := sc.yv[:0]
 	for k := range candidates {
-		if k < len(voted) {
-			yv = append(yv, m.yhatVals[i][k])
+		if k < len(vals) {
+			yv = append(yv, vals[k])
 		} else {
 			yv = append(yv, 0)
 		}
@@ -417,12 +417,10 @@ func (m *Model) predictCandidates(i int, prior []float64, sc *predictScratch) []
 	if m.perItem[i].Len() < 2 {
 		maxExtra = 0
 	}
-	sc.cand = sc.cand[:0]
+	voted := m.votedSets[i]
+	sc.cand = voted.AppendTo(sc.cand[:0])
 	sc.seen.Clear()
-	for _, c := range m.votedList[i] {
-		sc.cand = append(sc.cand, c)
-		sc.seen.Add(c)
-	}
+	sc.seen.UnionWith(voted)
 	// Mixture weights in probability space.
 	wt := sc.wt
 	for t := 0; t < T; t++ {

@@ -181,7 +181,7 @@ func (c *Model) syncPublishState(src *Model) {
 	copy(c.revealedTruth, src.revealedTruth) // inner slices are rebind-only
 	c.kappa.CopyFrom(src.kappa)
 	c.phi.CopyFrom(src.phi)
-	copy(c.votedList, src.votedList) // inner slices are rebind-only
+	copy(c.votedSets, src.votedSets) // sets are rebind-only
 	for i := range src.yhatVals {
 		// ŷ is mutated in place by imputation: copy into retained buffers.
 		c.yhatVals[i] = append(c.yhatVals[i][:0], src.yhatVals[i]...)
@@ -217,7 +217,7 @@ func (c *Model) dropShared() {
 	clear(c.perItem)
 	c.arrival = nil
 	clear(c.revealedTruth)
-	clear(c.votedList)
+	clear(c.votedSets)
 }
 
 // publishHook, when set, sees each full publication's clone before it goes

@@ -7,10 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cpa/internal/answers"
 	"cpa/internal/datasets"
+	"cpa/internal/labelset"
 )
 
 // publishStream loads a shuffled image-profile stream — the serve-shaped
@@ -374,7 +376,7 @@ func sameLiveBits(t testing.TB, what string, want, got *Model) {
 	} {
 		sameBits(t, what+": "+f.name, f.want, f.got)
 	}
-	if !reflect.DeepEqual(want.votedList, got.votedList) {
+	if !slices.EqualFunc(want.votedSets, got.votedSets, labelset.Set.Equal) {
 		t.Fatalf("%s: voted lists diverged", what)
 	}
 	if want.expGen != got.expGen || want.haveRates != got.haveRates || want.lastBatchDelta != got.lastBatchDelta {
@@ -618,7 +620,7 @@ func TestPublishedViewsShareVotedLists(t *testing.T) {
 			var copies [][][]Candidate
 			extended, compactions := 0, 0
 			for round, b := range ds.Batches(cfg.BatchSize) {
-				before, intern := append([][]int(nil), m.votedList...), m.intern
+				before, intern := append([]labelset.Set(nil), m.votedSets...), m.intern
 				if err := m.PartialFit(b.Answers); err != nil {
 					t.Fatal(err)
 				}
@@ -626,7 +628,7 @@ func TestPublishedViewsShareVotedLists(t *testing.T) {
 					compactions++
 				}
 				for i := range before {
-					if round > 0 && len(m.votedList[i]) > len(before[i]) && len(before[i]) > 0 {
+					if round > 0 && m.votedSets[i].Len() > before[i].Len() && !before[i].IsEmpty() {
 						extended++
 					}
 				}

@@ -87,9 +87,13 @@ func (m *Model) ConsensusView() (*ConsensusView, error) {
 		Items: make([]ItemConsensus, m.numItems),
 		Stats: m.Stats(),
 	}
-	for i := range view.Items {
-		view.Items[i] = m.itemConsensus(i, pred[i])
-	}
+	// Each entry is built from its own item's state into fresh storage, so
+	// the Algorithm 3 shards build them side by side.
+	m.parallelFor(m.numItems, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			view.Items[i] = m.itemConsensus(i, pred[i])
+		}
+	})
 	return view, nil
 }
 
@@ -97,10 +101,11 @@ func (m *Model) ConsensusView() (*ConsensusView, error) {
 // predicted set and its current voted labels and ŷ.
 func (m *Model) itemConsensus(i int, pred labelset.Set) ItemConsensus {
 	it := ItemConsensus{Item: i, Labels: pred.Slice()}
-	if voted := m.votedList[i]; len(voted) > 0 {
-		it.Candidates = make([]Candidate, len(voted))
-		for k, c := range voted {
-			it.Candidates[k] = Candidate{Label: c, Confidence: m.yhatVals[i][k]}
+	if vals := m.yhatVals[i]; len(vals) > 0 {
+		it.Candidates = make([]Candidate, len(vals))
+		var vb [votedStack]int
+		for k, c := range m.voted(i, vb[:]) {
+			it.Candidates[k] = Candidate{Label: c, Confidence: vals[k]}
 		}
 	}
 	return it

@@ -408,7 +408,7 @@ func sortInts(s []int) {
 
 // extendVoted merges the round's newly voted labels into the touched items'
 // voted-label lists, preserving existing imputed values. It relies on the
-// voted-list invariant — votedList[i] already contains every label of every
+// voted-set invariant — votedSets[i] already contains every label of every
 // previously ingested answer on i (rebuildVoted for batch loads, this
 // function for every earlier streaming round, persistence for reloads) — so
 // only the batch refs and the revealed truth need merging: O(batch words)
@@ -421,12 +421,10 @@ func (m *Model) extendVoted(g *batchGroups) {
 }
 
 func (m *Model) extendVotedItem(i int, refs []ansRef) {
-	cur := m.votedList[i]
+	cur := m.votedSets[i]
 	s := &m.work.voted
 	s.Clear()
-	for _, c := range cur {
-		s.Add(c)
-	}
+	s.UnionWith(cur)
 	for _, ar := range refs {
 		s.UnionWith(m.intern.At(ar.set))
 	}
@@ -434,23 +432,25 @@ func (m *Model) extendVotedItem(i int, refs []ansRef) {
 		s.Add(c)
 	}
 	n := s.Len()
-	if n == len(cur) {
+	oldVals := m.yhatVals[i]
+	if n == len(oldVals) {
 		return // nothing new voted: cur ⊆ s, so equal sizes mean equal sets
 	}
-	oldVals := m.yhatVals[i]
-	merged := s.AppendTo(make([]int, 0, n))
-	vals := make([]float64, len(merged))
-	// Carry existing imputations across: cur ⊆ merged and both are sorted,
-	// so one linear sweep aligns them. New labels start at 0, like the map
-	// version did.
-	k := 0
-	for idx, c := range merged {
-		if k < len(cur) && cur[k] == c {
-			vals[idx] = oldVals[k]
-			k++
+	vals := make([]float64, n)
+	// Carry existing imputations across: cur ⊆ s, so walking s's members in
+	// ascending order meets cur's in ascending order too, and each old ŷ
+	// moves from its rank in cur to its rank in s. New labels start at 0,
+	// like the map version did.
+	k, j := 0, 0
+	s.Range(func(c int) bool {
+		if cur.Contains(c) {
+			vals[k] = oldVals[j]
+			j++
 		}
-	}
-	// Rebind, never mutate: clones may share the old slices.
-	m.votedList[i] = merged
+		k++
+		return true
+	})
+	// Rebind, never mutate: clones may share the old set and ŷ.
+	m.votedSets[i] = s.Compact()
 	m.yhatVals[i] = vals
 }

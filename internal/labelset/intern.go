@@ -19,8 +19,8 @@ import (
 // its members are expanded on demand (AppendCanon) in ascending bit order,
 // which is the canonical sorted order, and its size is a popcount (Size).
 // Ids are found through an open-addressing table hashed over the trimmed
-// words, so a distinct set costs its words plus 16–24 bytes of index, with
-// no per-set allocation.
+// words, filled to at most ¾, so a distinct set costs its words plus
+// 13–19 bytes of index, with no per-set allocation.
 //
 // An Interner is owned by a single goroutine for writes (Intern); the
 // lookup side (AppendCanon, At, Contains, Size, Count) is safe for
@@ -29,7 +29,8 @@ import (
 // only at ingestion, a serial phase).
 type Interner struct {
 	// table holds id+1 per occupied slot (0 is free). Its length is a power
-	// of two and at least twice Len(), so linear probes stay short.
+	// of two with Len() at most ¾ of it: Fibonacci hashing spreads the
+	// home slots, so linear probes stay short at that load.
 	table []int32
 	shift uint // 64 − log2(len(table)): a hash's top bits pick its home slot
 
@@ -70,7 +71,7 @@ func (in *Interner) Intern(s Set) int32 {
 	for len(words) > 0 && words[len(words)-1] == 0 {
 		words = words[:len(words)-1]
 	}
-	if 2*(len(in.counts)+1) > len(in.table) {
+	if 4*(len(in.counts)+1) > 3*len(in.table) {
 		in.rehash(max(16, 2*len(in.table)))
 	}
 	mask := uint64(len(in.table) - 1)

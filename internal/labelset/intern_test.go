@@ -303,3 +303,45 @@ func TestInternerArenaOffsetBound(t *testing.T) {
 	}()
 	arenaOffset(math.MaxInt32 + 1)
 }
+
+// TestInternerGrowsAtThreeQuarterLoad pins the probe table's sizing — the
+// smallest power of two, at least 16, that holds Len() at ¾ load — and
+// that every growth keeps ids, members and counts identical to the
+// map-keyed reference, while repeats of earlier sets still find their ids.
+func TestInternerGrowsAtThreeQuarterLoad(t *testing.T) {
+	in, ref := NewInterner(), newRefInterner()
+	var sets []Set
+	for k := 0; k < 3000; k++ {
+		// Distinct one- and two-word sets, some with trailing zero words.
+		s := Of(k%64, 64+k/64)
+		if k%5 == 0 {
+			s = New(320)
+			s.Add(k % 64)
+			s.Add(64 + k/64)
+		}
+		sets = append(sets, s)
+		if got, want := in.Intern(s), ref.intern(s); got != want {
+			t.Fatalf("Intern #%d = %d, want %d", k, got, want)
+		}
+		n := in.Len()
+		size := 16
+		for 4*n > 3*size {
+			size *= 2
+		}
+		if len(in.table) != size {
+			t.Fatalf("%d sets: table has %d slots, want %d (¾ load)", n, len(in.table), size)
+		}
+		if k%97 == 0 {
+			// Repeats of earlier sets across the growths so far.
+			for j := 0; j <= k; j += 13 {
+				if got, want := in.Intern(sets[j]), ref.intern(sets[j]); got != want {
+					t.Fatalf("repeat of set #%d = %d, want %d", j, got, want)
+				}
+			}
+		}
+	}
+	if len(in.table) != 4096 {
+		t.Fatalf("3000 sets: table has %d slots, want 4096", len(in.table))
+	}
+	sameAsRef(t, "after growth", in, ref)
+}

@@ -60,6 +60,21 @@ func FromSlice(labels []int) Set {
 // Of is a variadic convenience constructor: Of(1, 4, 5).
 func Of(labels ...int) Set { return FromSlice(labels) }
 
+// Compact returns an independent copy of s with trailing zero words
+// trimmed: the smallest backing that holds its members.
+func (s Set) Compact() Set {
+	n := len(s.words)
+	for n > 0 && s.words[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
+		return Set{}
+	}
+	w := make([]uint64, n)
+	copy(w, s.words)
+	return Set{words: w}
+}
+
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	if len(s.words) == 0 {

@@ -321,3 +321,22 @@ func BenchmarkIntersectLen(b *testing.B) {
 		_ = x.IntersectLen(y)
 	}
 }
+
+// TestCompactTrimsAndCopies pins Compact: the members of s in the fewest
+// words, in storage s does not share.
+func TestCompactTrimsAndCopies(t *testing.T) {
+	wide := New(300)
+	wide.Add(3)
+	wide.Add(70)
+	c := wide.Compact()
+	if len(c.words) != 2 || !c.Equal(wide) {
+		t.Fatalf("Compact of %v has %d words (%v), want 2 words", wide, len(c.words), c)
+	}
+	wide.Add(5)
+	if c.Contains(5) {
+		t.Fatal("Compact shares storage with its source")
+	}
+	if e := New(200).Compact(); e.words != nil {
+		t.Fatalf("Compact of an empty set holds %d words", len(e.words))
+	}
+}

@@ -33,15 +33,25 @@ type WorkerTrajectory struct {
 	Points []TrajPoint `json:"points"`
 }
 
-// workerTraj accumulates the rings. The fitter records (it owns the model at
-// publication time); /statsz readers copy under the mutex.
+// workerTraj accumulates the samples. Every sample covers every worker at
+// the same round, so the rounds are kept once, in a ring of up to trajLen
+// stamps, and the values in one flat slice, per worker a ring of the same
+// slots (allocated by the first sample, so a job that never publishes pays
+// nothing). The fitter records (it owns the model at publication time);
+// /statsz readers copy under the mutex.
 type workerTraj struct {
-	mu    sync.Mutex
-	rings [][]TrajPoint
+	mu      sync.Mutex
+	workers int
+	rounds  [trajLen]int64 // ring slot → sampled round
+	start   int            // slot of the oldest sample
+	n       int            // samples held, at most trajLen
+	// vals[(u·trajLen+s)·2] and the entry after it are worker u's vote
+	// weight and reliability at the round in ring slot s.
+	vals []float64
 }
 
 func newWorkerTraj(workers int) *workerTraj {
-	return &workerTraj{rings: make([][]TrajPoint, workers)}
+	return &workerTraj{workers: workers}
 }
 
 // maybeRecord samples every worker's reliability at the given round if the
@@ -52,30 +62,43 @@ func (w *workerTraj) maybeRecord(round int64, m *core.Model) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for u := range w.rings {
-		p := TrajPoint{Round: round, VoteWeight: m.WorkerVoteWeight(u), Reliability: m.WorkerReliability(u)}
-		if n := len(w.rings[u]); n > 0 && w.rings[u][n-1].Round == round {
-			continue // recovery republish at an already-sampled round
-		}
-		if len(w.rings[u]) == trajLen {
-			copy(w.rings[u], w.rings[u][1:])
-			w.rings[u][trajLen-1] = p
-		} else {
-			w.rings[u] = append(w.rings[u], p)
-		}
+	if w.n > 0 && w.rounds[(w.start+w.n-1)%trajLen] == round {
+		return // recovery republish at an already-sampled round
+	}
+	if w.vals == nil {
+		w.vals = make([]float64, w.workers*trajLen*2)
+	}
+	s := (w.start + w.n) % trajLen
+	if w.n == trajLen {
+		w.start = (w.start + 1) % trajLen // overwrite the oldest
+	} else {
+		w.n++
+	}
+	w.rounds[s] = round
+	for u := 0; u < w.workers; u++ {
+		v := w.vals[(u*trajLen+s)*2:]
+		v[0], v[1] = m.WorkerVoteWeight(u), m.WorkerReliability(u)
 	}
 }
 
-// trajectories copies out the non-empty rings.
+// trajectories copies out every worker's samples, oldest first: none
+// before the first sample, since every sample covers every worker.
 func (w *workerTraj) trajectories() []WorkerTrajectory {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]WorkerTrajectory, 0, len(w.rings))
-	for u, ring := range w.rings {
-		if len(ring) == 0 {
-			continue
+	out := make([]WorkerTrajectory, 0, w.workers)
+	if w.n == 0 {
+		return out
+	}
+	points := make([]TrajPoint, w.workers*w.n)
+	for u := 0; u < w.workers; u++ {
+		pts := points[u*w.n : (u+1)*w.n : (u+1)*w.n]
+		for k := range pts {
+			s := (w.start + k) % trajLen
+			v := w.vals[(u*trajLen+s)*2:]
+			pts[k] = TrajPoint{Round: w.rounds[s], VoteWeight: v[0], Reliability: v[1]}
 		}
-		out = append(out, WorkerTrajectory{Worker: u, Points: append([]TrajPoint(nil), ring...)})
+		out = append(out, WorkerTrajectory{Worker: u, Points: pts})
 	}
 	return out
 }
