@@ -463,23 +463,23 @@ func NewModel(cfg Config, numItems, numWorkers, numLabels int) (*Model, error) {
 		temp:       1,
 		intern:     labelset.NewInterner(),
 	}
-	m.M = cfg.MaxCommunities
-	if cfg.DisableCommunities {
-		m.M = numWorkers
-	}
-	m.T = cfg.MaxClusters
-	if cfg.DisableClusters {
-		m.T = numItems
-	}
-	if m.M > numWorkers {
-		m.M = numWorkers
-	}
-	if m.T > numItems {
-		m.T = numItems
-	}
+	m.M, m.T = cfg.truncations(numItems, numWorkers)
 	m.allocate()
 	m.initialize()
 	return m, nil
+}
+
+// truncations returns the effective community and cluster truncation
+// levels (M, T) of a model of this config and size.
+func (c Config) truncations(numItems, numWorkers int) (M, T int) {
+	M, T = c.MaxCommunities, c.MaxClusters
+	if c.DisableCommunities {
+		M = numWorkers
+	}
+	if c.DisableClusters {
+		T = numItems
+	}
+	return min(M, numWorkers), min(T, numItems)
 }
 
 // Dims returns (items, workers, labels).

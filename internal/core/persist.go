@@ -128,6 +128,42 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
+// checkDims compares the header's dimensions with the saved slices that
+// carry them, and its truncations with those the saved config gives, before
+// NewModel allocates Items×T, Workers×M and T·M×C state from the header
+// alone: decoded slices are bounded by the input, so a header that
+// disagrees with them is refused without allocating for it.
+func (st *modelState) checkDims() error {
+	if st.Items <= 0 || st.Workers <= 0 || st.Labels <= 0 || st.M <= 0 || st.T <= 0 {
+		return fmt.Errorf("%w: saved dimensions %d/%d/%d, truncations %d/%d", ErrConfig, st.Items, st.Workers, st.Labels, st.M, st.T)
+	}
+	cfg := st.Cfg
+	cfg.fillDefaults()
+	if M, T := cfg.truncations(st.Items, st.Workers); M != st.M || T != st.T {
+		return fmt.Errorf("%w: truncation mismatch in saved state", ErrConfig)
+	}
+	for _, c := range []struct {
+		n, rows, cols int
+		what          string
+	}{
+		{len(st.Kappa), st.Workers, st.M, "kappa"},
+		{len(st.Phi), st.Items, st.T, "phi"},
+		{len(st.Lambda), st.T * st.M, st.Labels, "lambda"},
+		{len(st.Zeta), st.T, st.Labels, "zeta"},
+		{len(st.WorkerRelW), st.Workers, 1, "workerRelW"},
+		{len(st.LabelPrev), st.Labels, 1, "labelPrev"},
+		{len(st.VotedList), st.Items, 1, "voted lists"},
+		{len(st.YhatVals), st.Items, 1, "yhat"},
+	} {
+		// n == rows·cols, tested by division so no product of header
+		// values can overflow; T·M is bounded by the kappa and phi rows.
+		if c.n%c.cols != 0 || c.n/c.cols != c.rows {
+			return fmt.Errorf("%w: saved %s has %d entries for %d×%d", ErrConfig, c.what, c.n, c.rows, c.cols)
+		}
+	}
+	return nil
+}
+
 // Load restores a model saved with Save.
 func Load(r io.Reader) (*Model, error) {
 	var st modelState
@@ -137,12 +173,12 @@ func Load(r io.Reader) (*Model, error) {
 	if st.Version != persistVersion {
 		return nil, fmt.Errorf("%w: model state version %d (want %d)", ErrConfig, st.Version, persistVersion)
 	}
+	if err := st.checkDims(); err != nil {
+		return nil, err
+	}
 	m, err := NewModel(st.Cfg, st.Items, st.Workers, st.Labels)
 	if err != nil {
 		return nil, err
-	}
-	if st.M != m.M || st.T != m.T {
-		return nil, fmt.Errorf("%w: truncation mismatch in saved state", ErrConfig)
 	}
 	copyInto := func(dst, src []float64, what string) error {
 		if len(dst) != len(src) {

@@ -328,6 +328,15 @@ func (r *runner) runPhase(pi int) error {
 				}
 			}
 			r.cfg.Clock.Sleep(r.traffic.gap())
+			if r.sc.Arrival == ArrivalTrickle {
+				// A trickle is slower than the fitter, on any clock: the
+				// next chunk arrives once this one is fitted and served,
+				// to an idle fitter and a queue below the minimum fill,
+				// so its round starts on BatchWait.
+				if err := r.quiesce(ts); err != nil {
+					return err
+				}
+			}
 		}
 		if !progressed {
 			break
@@ -759,6 +768,22 @@ func (r *runner) retentionInvariants(ts *tenantState, view *core.ConsensusView, 
 	}
 }
 
+// waitRoundInvariant checks that a trickle tenant's fitter started at least
+// one round on BatchWait: trickle arrivals stay below the minimum fill, so
+// the partial-batch path the scenario exists for must have run.
+func (r *runner) waitRoundInvariant(ts *tenantState) {
+	var stats serve.JobStats
+	status, err := r.getJSON(r.base()+"/v1/jobs/"+ts.id, &stats)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("job stats: status %d", status)
+	}
+	if err == nil && stats.RoundStarts.BatchWait == 0 {
+		err = fmt.Errorf("no round started on BatchWait (round starts %+v)", stats.RoundStarts)
+	}
+	r.addInvariant("batchwait-rounds", ts.id, err,
+		fmt.Sprintf("%d of %d rounds started on BatchWait", stats.RoundStarts.BatchWait, stats.FitRounds))
+}
+
 // finalInvariants evaluates the per-tenant and global invariants after the
 // last phase.
 func (r *runner) finalInvariants() {
@@ -774,6 +799,9 @@ func (r *runner) finalInvariants() {
 			jobErr = fmt.Errorf("job reported failure: %s", ts.lastJobError)
 		}
 		r.addInvariant("no-job-failure", ts.id, jobErr, "fitter never failed")
+		if r.sc.Arrival == ArrivalTrickle && !ts.deleted {
+			r.waitRoundInvariant(ts)
+		}
 		var staleErr error
 		if ts.staleFailure != "" {
 			staleErr = fmt.Errorf("%s", ts.staleFailure)

@@ -37,7 +37,8 @@ const (
 	// ArrivalBursty sends tight request bursts separated by idle gaps.
 	ArrivalBursty
 	// ArrivalTrickle sends tiny sub-batch chunks at a slow steady rate,
-	// forcing the fitter onto its BatchWait partial-batch path.
+	// each once the last is fitted and served, forcing the fitter onto its
+	// BatchWait partial-batch path.
 	ArrivalTrickle
 )
 

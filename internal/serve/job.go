@@ -74,6 +74,9 @@ type Job struct {
 	fitted   atomic.Int64 // answers consumed by PartialFit
 	rounds   atomic.Int64 // PartialFit calls
 	failure  atomic.Pointer[string]
+	// roundStarts counts, since the job was opened, the rounds nextBatch
+	// started on each trigger (indexed by roundStart).
+	roundStarts [numRoundStarts]atomic.Int64
 
 	queueLimit  int
 	saveEvery   int
@@ -339,6 +342,12 @@ func (j *Job) Stats() JobStats {
 		JournalFileBytes:     jfb,
 		Epoch:                epoch.Epoch,
 		Deposed:              epoch.Deposed,
+		RoundStarts: RoundStarts{
+			Full:      j.roundStarts[startFull].Load(),
+			MinFill:   j.roundStarts[startMinFill].Load(),
+			BatchWait: j.roundStarts[startWait].Load(),
+			Close:     j.roundStarts[startClose].Load(),
+		},
 	}
 	if msg := j.failure.Load(); msg != nil {
 		st.Error = *msg
@@ -474,6 +483,9 @@ type JobStats struct {
 	FitRounds       int64   `json:"fit_rounds"`
 	SnapshotRound   int     `json:"snapshot_round"`
 	SnapshotAgeSec  float64 `json:"snapshot_age_seconds"`
+	// RoundStarts counts the rounds the fitter started since the job was
+	// opened (replayed rounds excluded), by what started them.
+	RoundStarts RoundStarts `json:"round_starts"`
 	// EffectiveCommunities/EffectiveClusters mirror the published snapshot's
 	// adaptivity diagnostics (computed at publication, never per request).
 	EffectiveCommunities int `json:"effective_communities"`
@@ -507,6 +519,28 @@ type JobStats struct {
 	WorkerTraj []WorkerTrajectory `json:"worker_trajectories,omitempty"`
 	Error      string             `json:"error,omitempty"`
 }
+
+// RoundStarts counts fit rounds by the trigger that started them, which is
+// what sets their size: a full BatchSize, the minimum fill (BatchSize/8
+// answers queued while the fitter was free), BatchWait elapsed on a
+// smaller queue, or the remainder drained at close.
+type RoundStarts struct {
+	Full      int64 `json:"full"`
+	MinFill   int64 `json:"min_fill"`
+	BatchWait int64 `json:"batch_wait"`
+	Close     int64 `json:"close"`
+}
+
+// roundStart indexes Job.roundStarts.
+type roundStart int
+
+const (
+	startFull roundStart = iota
+	startMinFill
+	startWait
+	startClose
+	numRoundStarts
+)
 
 // PublishStats is the JSON-ready cumulative latency histogram of the
 // obs.Hist latency family (50µs base, doubling), the family loadgen's
@@ -698,29 +732,51 @@ func (j *Job) fitGuarded(batch []answers.Answer, roundsSinceSave *int) (err erro
 	return j.fitBatch(batch, roundsSinceSave)
 }
 
-// nextBatch blocks until a mini-batch is available: a full BatchSize, or
-// whatever is queued once BatchWait has elapsed since the oldest queued
-// answer was admitted, or since the full-size take that left it queued
-// (bounded consensus staleness under trickle load), or the remainder at
-// close. An answer admitted while a round runs therefore waits for that
-// round, not for another whole BatchWait after it. It returns ok=false when
-// the job is done. The returned slice comes from batchPool; the caller
+// minFillDiv sets the minimum fill: a queue of BatchSize/minFillDiv answers
+// (at least one) starts a round as soon as the fitter is free.
+const minFillDiv = 8
+
+// nextBatch blocks until a mini-batch is available. The queue is ripe at
+// the first of four triggers, checked in this order and counted in
+// RoundStarts: a full BatchSize; the minimum fill, max(1, BatchSize/8)
+// answers; BatchWait elapsed since the oldest queued answer was admitted,
+// or since the full-size take that left it queued (bounded consensus
+// staleness under trickle load); or close, which drains the remainder.
+// Only the fitter calls nextBatch, and only between rounds, so the minimum
+// fill means "fit when the fitter is free": answers arriving fast enough to
+// fill it wait for the running round, not for BatchWait, while a trickle
+// still waits BatchWait to gather a round. A round takes at most BatchSize
+// answers, so a backlog keeps filling whole batches. It returns ok=false
+// when the job is done. The returned slice comes from batchPool; the caller
 // returns it after the round.
 func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 	batchSize := j.model.Config().BatchSize
+	minFill := max(1, batchSize/minFillDiv)
 	for {
 		j.mu.Lock()
 		n := len(j.queue) - j.head
 		done := j.crashed || (j.closed && n == 0)
 		deadline := j.windowStart.Add(j.batchWait)
-		ripe := n >= batchSize ||
-			(n > 0 && j.closed) ||
-			(n > 0 && !time.Now().Before(deadline))
 		if done {
 			j.mu.Unlock()
 			return nil, false
 		}
+		var cause roundStart
+		ripe := true
+		switch {
+		case n >= batchSize:
+			cause = startFull
+		case n >= minFill:
+			cause = startMinFill
+		case n > 0 && !time.Now().Before(deadline):
+			cause = startWait
+		case n > 0 && j.closed:
+			cause = startClose
+		default:
+			ripe = false
+		}
 		if ripe {
+			j.roundStarts[cause].Add(1)
 			take := n
 			if take > batchSize {
 				take = batchSize

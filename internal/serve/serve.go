@@ -61,10 +61,13 @@ type Config struct {
 	// (plus once on clean shutdown). Default 16.
 	SaveEvery int
 
-	// BatchWait is how long the fitter lets a mini-batch fill to the
-	// model's BatchSize before fitting a partial batch, counted from when
-	// the oldest queued answer was admitted or, for answers left over
-	// after a full-size batch, from that take. Default 100ms.
+	// BatchWait bounds how long queued answers wait for a round when
+	// fewer than the minimum fill, max(1, BatchSize/8), are queued: the
+	// idle fitter starts a round at once on a full BatchSize or on the
+	// minimum fill, and otherwise once BatchWait has passed since the
+	// oldest queued answer was admitted or, for answers left over after a
+	// full-size batch, since that take. So it sets the staleness of
+	// trickle jobs only. Default 100ms.
 	BatchWait time.Duration
 
 	// SyncJournal fsyncs the journal after every ingested batch. Appends
