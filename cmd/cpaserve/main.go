@@ -51,7 +51,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		data      = flag.String("data", "cpaserve-data", "data directory for journals, checkpoints and replica staging ('' = ephemeral, no recovery; standalone only)")
 		queue     = flag.Int("queue", 0, "per-job ingestion queue limit (0 = default 65536)")
-		saveEvery = flag.Int("save-every", 0, "checkpoint the model every N fit rounds (0 = default 16)")
+		saveEvery = flag.Int("save-every", 0, "checkpoint the model every N × batch-size fitted answers (0 = default 16)")
 		batchWait = flag.Duration("batch-wait", 0, "max wait for a round while fewer than BatchSize/8 answers are queued; more start one as soon as the fitter is free (0 = default 100ms)")
 		syncJrnl  = flag.Bool("sync-journal", false, "fsync the journal after every ingested batch")
 		truncate  = flag.Bool("truncate-journal", false, "drop the journal prefix behind each durable checkpoint (bounded disk for long-lived jobs)")

@@ -58,10 +58,10 @@ func (m *Model) ELBO() float64 {
 	}
 
 	// --- E[ln p(y | l, φ)]: revealed or imputed truth under emissions.
+	m.expandItems(nil)
 	for i := 0; i < m.numItems; i++ {
 		phiRow := m.phi.Row(i)
-		var vb [votedStack]int
-		voted := m.voted(i, vb[:])
+		voted := m.votedList(i)
 		vals := m.yhatVals[i]
 		for t := 0; t < T; t++ {
 			pt := phiRow[t]

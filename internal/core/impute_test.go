@@ -10,21 +10,62 @@ import (
 	"cpa/internal/mathx"
 )
 
-// imputeItemReferee is the label-major calibrated imputation, kept verbatim
-// (one Intern.Contains rescan of the item's answers per label, every
-// log-odds and sigmoid computed afresh) so the production imputeItem — which
-// reuses the prevalence-floor log-odds, accumulates votes answer-major and
-// takes the sigmoid's exponentials in one ExpRow — can be pinned to it bit
-// for bit. Only the calibrated path is kept: the revealed, ground-truth-only
-// and bootstrap paths are unchanged.
+// imputeItemReferee is the legacy imputation, kept verbatim: the voted
+// list expanded from its bitset, each answer's labels tested with
+// Intern.Contains — label-major, one rescan of the item's answers per
+// label on the calibrated path — and every log-odds and sigmoid computed
+// afresh. The production imputeItem, which reuses the prevalence-floor
+// log-odds, reads the answers as rank masks, accumulates votes answer-major
+// with one mathx.AddSelect per answer and takes the sigmoid's exponentials
+// in one ExpRow, is pinned to it bit for bit on every path: revealed
+// truth, ground truth only, the bootstrap vote share and the calibrated
+// posterior, with and without an expert prior.
 func (m *Model) imputeItemReferee(i int) {
-	if m.revealedTruth[i] != nil || m.cfg.GroundTruthOnly || !m.haveRates {
-		m.imputeItem(i)
-		return
-	}
 	voted := m.votedSets[i].Slice()
 	vals := m.yhatVals[i]
 	l := &m.perItem[i]
+	if truth := m.revealedTruth[i]; truth != nil {
+		for k, c := range voted {
+			vals[k] = 0
+			for _, tc := range truth {
+				if tc == c {
+					vals[k] = 1
+					break
+				}
+			}
+		}
+		return
+	}
+	if m.cfg.GroundTruthOnly {
+		for k := range vals {
+			vals[k] = 0
+		}
+		return
+	}
+	if !m.haveRates {
+		for k := range vals {
+			vals[k] = 0
+		}
+		denom := 0.0
+		for s, sn := 0, l.segs(); s < sn; s++ {
+			for _, ar := range l.seg(s) {
+				w := m.workerRelW[ar.other]
+				denom += w
+				for k, c := range voted {
+					if m.intern.Contains(ar.set, c) {
+						vals[k] += w
+					}
+				}
+			}
+		}
+		if denom > 0 {
+			inv := 1 / denom
+			for k := range vals {
+				vals[k] *= inv
+			}
+		}
+		return
+	}
 	T := m.T
 	phiMean, nbar := m.work.phiMean, m.work.nbar
 	phiRow := m.phi.Row(i)
@@ -71,15 +112,16 @@ func (m *Model) imputeItemReferee(i int) {
 	}
 }
 
-// finalizeOnlineReferee is FinalizeOnline with every imputation pass run
-// through imputeItemReferee.
+// finalizeOnlineReferee is FinalizeOnline with every reliability and
+// imputation pass run through the legacy referees (updateReliabilityReferee,
+// imputeItemReferee).
 func (m *Model) finalizeOnlineReferee() {
 	defer m.releaseScratch()
 	m.temp = 1
 	m.refreshExpectations()
 	m.updateLocal()
 	for pass := 0; pass < 3; pass++ {
-		m.updateReliability()
+		m.updateReliabilityReferee()
 		m.imputePrep()
 		for i := 0; i < m.numItems; i++ {
 			m.imputeItemReferee(i)
@@ -91,7 +133,9 @@ func (m *Model) finalizeOnlineReferee() {
 // from the same prepared state, restoring ŷ after each item.
 func checkImputeItems(t *testing.T, what string, m *Model) {
 	t.Helper()
+	defer m.releaseScratch()
 	m.imputePrep()
+	m.expandItems(nil)
 	for i := 0; i < m.numItems; i++ {
 		saved := append([]float64(nil), m.yhatVals[i]...)
 		m.imputeItem(i)

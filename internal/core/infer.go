@@ -98,8 +98,10 @@ func (m *Model) Fit(ds *answers.Dataset) (*TrainStats, error) {
 // rows).
 func (m *Model) updateLocal() {
 	// Serial sync point: bring the per-set score panels up to date with the
-	// current expectations before the shards start reading them.
+	// current expectations, and expand every item's voted list for the
+	// cluster update, before the shards start reading them.
 	m.ensureScorePanels()
+	m.expandItems(nil)
 	if !m.cfg.DisableCommunities {
 		m.parallelFor(m.numWorkers, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
@@ -189,7 +191,8 @@ func (m *Model) updateLambda() {
 }
 
 // updateZeta implements Eq. (7) with imputed truth: ζ_tc = η + Σ_i ϕ_it ·
-// E[y_ic] (DESIGN.md D2), sharded over items like updateLambda.
+// E[y_ic] (DESIGN.md D2), sharded over items like updateLambda. It reads
+// the voted lists Fit's first imputeTruth expanded into the call's tables.
 func (m *Model) updateZeta() {
 	suff := m.trainScratch().zetaSuff
 	m.accZeta.Accumulate(suff, 0, len(suff), m.numItems, m.shardCount(m.numItems),
@@ -322,9 +325,11 @@ func (m *Model) deriveWorkerModel(tpNum, tpDen, fpNum, fpDen, agreeNum, agreeDen
 // cluster emissions — the channel through which label co-occurrence
 // dependencies flow into the consensus (requirement R3). When items is nil
 // every item is refreshed on the Algorithm 3 shards (each item's ŷ is
-// independent); otherwise only the listed items are, serially.
+// independent); otherwise only the listed items are, serially. Either way
+// the items' voted lists and rank masks are expanded first (tables.go).
 func (m *Model) imputeTruth(items []int) {
 	m.imputePrep()
+	m.expandItems(items)
 	if items == nil {
 		m.parallelFor(m.numItems, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -377,10 +382,11 @@ func (m *Model) imputePrep() {
 
 // imputeItem refreshes one item's ŷ from the inputs prepared by imputePrep.
 // It reads only the item's own state (ϕ row, votes, answers) plus shared
-// read-only inputs, so calls on distinct items are independent.
+// read-only inputs, so calls on distinct items are independent. The item's
+// answers are read as rank masks over its voted list (tables.go): label k
+// of the list is in answer p when bit k of the answer's mask is set.
 func (m *Model) imputeItem(i int) {
-	var vb [votedStack]int
-	voted := m.voted(i, vb[:])
+	voted := m.votedList(i)
 	vals := m.yhatVals[i]
 	if truth := m.revealedTruth[i]; truth != nil {
 		// Revealed items carry exact expectations.
@@ -403,6 +409,7 @@ func (m *Model) imputeItem(i int) {
 		}
 		return
 	}
+	nw, _, masks := m.itemMasks(i)
 	l := &m.perItem[i]
 	if !m.haveRates {
 		// Bootstrap: reliability-weighted vote share.
@@ -410,15 +417,15 @@ func (m *Model) imputeItem(i int) {
 			vals[k] = 0
 		}
 		denom := 0.0
+		p := 0
 		for s, sn := 0, l.segs(); s < sn; s++ {
 			for _, ar := range l.seg(s) {
 				w := m.workerRelW[ar.other]
 				denom += w
-				// The answer's labels are a subset of the voted list:
-				// one bit test per voted label finds them.
-				ans := m.intern.At(ar.set)
-				for k, c := range voted {
-					if ans.Contains(c) {
+				mask := masks[p : p+nw]
+				p += nw
+				for k := range vals {
+					if mask[k>>6]>>(uint(k)&63)&1 != 0 {
 						vals[k] += w
 					}
 				}
@@ -441,14 +448,34 @@ func (m *Model) imputeItem(i int) {
 	w := m.work // borrowed by imputePrep
 	phiRow := m.phi.Row(i)
 	expert := m.expertCooc != nil
-	for k, c := range voted {
-		prior := 0.0
-		for t, cp := range w.imputeTab[c*T : c*T+T] {
-			pt := phiRow[t]
+	if !expert {
+		// The cluster-mixture priors, cluster-major: ϕ rows are nearly
+		// one-hot, so only the few clusters above the 1e-6 floor are
+		// visited, each adding its term to every label's prior — for each
+		// label still in ascending t from 0.0. vals holds the priors until
+		// the loop below turns them into log-odds.
+		clear(vals)
+		for t, pt := range phiRow {
 			if pt < 1e-6 {
 				continue
 			}
-			prior += pt * cp
+			for k, c := range voted {
+				vals[k] += pt * w.imputeTab[c*T+t]
+			}
+		}
+	}
+	for k, c := range voted {
+		prior := 0.0
+		if !expert {
+			prior = vals[k]
+		} else {
+			for t, cp := range w.imputeTab[c*T : c*T+T] {
+				pt := phiRow[t]
+				if pt < 1e-6 {
+					continue
+				}
+				prior += pt * cp
+			}
 		}
 		if lp := m.labelPrev[c]; prior < lp {
 			prior = lp
@@ -472,32 +499,28 @@ func (m *Model) imputeItem(i int) {
 		}
 		// The expert floor of later labels reads this label's fresh ŷ, so
 		// the expert path finishes each label before starting the next.
+		word, bit := k>>6, uint(k)&63
+		p := 0
 		for s, sn := 0, l.segs(); s < sn; s++ {
 			for _, ar := range l.seg(s) {
-				if m.intern.Contains(ar.set, c) {
+				if masks[p+word]>>bit&1 != 0 {
 					logOdds += m.voteLW[ar.other]
 				} else {
 					logOdds += m.missLW[ar.other]
 				}
+				p += nw
 			}
 		}
 		vals[k] = 1 / (1 + math.Exp(-mathx.Clamp(logOdds, -30, 30)))
 	}
 	if !expert {
-		// Two-coin votes, answer-major: each voted label is one bit test
-		// against the answer's set, and every label still adds its terms
-		// in answer order.
+		// Two-coin votes, answer-major: one select-add over the answer's
+		// rank mask, so every label still adds its terms in answer order.
+		p := 0
 		for s, sn := 0, l.segs(); s < sn; s++ {
 			for _, ar := range l.seg(s) {
-				vote, miss := m.voteLW[ar.other], m.missLW[ar.other]
-				ans := m.intern.At(ar.set)
-				for k, c := range voted {
-					if ans.Contains(c) {
-						vals[k] += vote
-					} else {
-						vals[k] += miss
-					}
-				}
+				mathx.AddSelect(vals, masks[p:p+nw], m.voteLW[ar.other], m.missLW[ar.other])
+				p += nw
 			}
 		}
 		// ŷ = 1/(1 + e^−clamp(logOdds)), with the exponentials in one row.
@@ -547,7 +570,7 @@ func (m *Model) dataLogLik() float64 {
 		psiMean.NormalizeRow(r)
 	}
 	psi := psiMean.Data()
-	pp := m.buildProductPanels(psi)
+	pp := m.buildProductPanels(m.transposeCube(psi))
 	var total [1]float64
 	m.accLogLik.Accumulate(total[:], 0, 1, m.numItems, m.shardCount(m.numItems),
 		func(buf []float64, lo, hi int) {
@@ -570,13 +593,12 @@ func (m *Model) dataLogLik() float64 {
 								if pt < 1e-10 {
 									continue
 								}
-								row := panel[t*M : t*M+M]
 								inner := 0.0
 								for mm, km := range kappaRow {
 									if km < 1e-10 {
 										continue
 									}
-									inner += km * row[mm]
+									inner += km * panel[mm*T+t]
 								}
 								lik += pt * inner
 							}

@@ -30,12 +30,11 @@ func (m *Model) predictWeightsReferee(i int, psiMAP []float64, pp *prodCache, sc
 					panel = pp.panel(ar.set, T*M)
 				}
 				if panel != nil {
-					row := panel[t*M : t*M+M]
 					for mm, km := range kappaRow {
 						if km < 1e-10 {
 							continue
 						}
-						inner += km * row[mm]
+						inner += km * panel[mm*T+t] // m-major panels
 					}
 				} else {
 					xs := m.intern.AppendCanon(nil, ar.set)
@@ -135,16 +134,19 @@ func checkAgainstReferees(t *testing.T, what string, m *Model, full bool) (prune
 	nbar := make([]float64, m.T)
 	m.clusterTruthSizesInto(nbar)
 	prior := m.clusterPriorsInto(phiMAP, nbar, nil)
-	var psiMAP []float64
+	var psiMAP, cubeT []float64
 	var pp *prodCache
+	defer m.releaseScratch()
+	m.expandItems(nil)
 	if full {
 		psiMAP = m.dirichletModes(m.lambda)
-		pp = m.buildProductPanels(psiMAP)
+		cubeT = m.transposeCube(psiMAP)
+		pp = m.buildProductPanels(cubeT)
 	}
 	sc, ref := newPredictScratch(m), newPredictScratch(m)
 	for i := 0; i < m.numItems; i++ {
 		if full {
-			m.predictWeights(i, psiMAP, pp, sc)
+			m.predictWeights(i, pp, cubeT, sc)
 			m.predictWeightsReferee(i, psiMAP, pp, ref)
 			sameBits(t, fmt.Sprintf("%s item %d: ln w", what, i), ref.logW, sc.logW)
 		} else {

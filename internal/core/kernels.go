@@ -154,8 +154,7 @@ func (m *Model) scorePhiBase(i int, dst []float64) {
 			dst[t] += s
 		}
 	} else if !m.cfg.GroundTruthOnly {
-		var vb [votedStack]int
-		voted := m.voted(i, vb[:])
+		voted := m.votedList(i)
 		vals := m.yhatVals[i]
 		for t := 0; t < T; t++ {
 			row := elogPhi.Row(t)
@@ -209,6 +208,29 @@ func (m *Model) scorePhiRefs(refs []ansRef, scale float64, dst []float64) {
 		offs := m.scratchOffs(&scratch, len(xs))
 		if offs == nil {
 			m.poolOffs(&scratch, len(xs)) // groups scratch for the scalar path
+		} else if a, b, n := sparseSurvivors(kappaRow); n <= 2 {
+			// At most two κ entries pass the floor, so every cluster's
+			// reduction is sparseDot over the survivors' set sums (see the
+			// panel case), and those sums are the set's contiguous T-runs
+			// of the community-major cube: one fused gather-sum per
+			// survivor covers all T clusters. Each adds float64(κ·sum),
+			// the sum over the members in canonical order from 0.0, into
+			// a row starting at +0.0 — sparseDot's (+0 + κ_a·S_a) + κ_b·S_b
+			// bit for bit.
+			row := scratch.tRow(T)
+			psiTm := m.work.psiTm
+			TM := T * M
+			survivors := [2]int{a, b}
+			for _, mm := range survivors[:n] {
+				for j, c := range xs {
+					offs[j] = c*TM + mm*T
+				}
+				mathx.AxpyGatherSum(kappaRow[mm], psiTm, offs, row)
+			}
+			for t, v := range row {
+				dst[t] += scale * v
+			}
+			continue
 		}
 		scratch.groups = mathx.FloorGroups(kappaRow, respFloor, scratch.groups)
 		groups := scratch.groups
@@ -366,10 +388,9 @@ func (m *Model) zetaItemStat(buf []float64, i int) {
 		return
 	}
 	phiRow := m.phi.Row(i)
-	var vb [votedStack]int
 	var voted []int
 	if truth == nil {
-		voted = m.voted(i, vb[:])
+		voted = m.votedList(i)
 	}
 	vals := m.yhatVals[i]
 	for t := 0; t < T; t++ {
@@ -435,11 +456,12 @@ func applySticks(a, b, colSum []float64, conc, scale, omega float64) {
 // (or revealed) expectation exceeds ½, or the single strongest label as a
 // fallback when none does (so every answered item has a non-empty
 // signature), kept as a bitset so the agreement and two-coin kernels can
-// intersect answers against it in O(words), plus its size. The full
-// refresh runs on the Algorithm 3 shards: each item writes only its own
-// signature.
+// intersect answers against it in O(words), plus its size, and as a rank
+// mask over the voted list (tables.go), which the two-coin counts
+// intersect with the answers' rank masks. The full refresh runs on the
+// Algorithm 3 shards: each item writes only its own signature.
 func (m *Model) refreshHardSig(items []int) {
-	w := m.borrowWork()
+	w := m.expandItems(items)
 	if w.sigSet == nil {
 		w.sigSet = labelset.NewMany(m.numItems, m.numLabels)
 	}
@@ -456,18 +478,21 @@ func (m *Model) refreshHardSig(items []int) {
 	}
 }
 
-// hardSigItem recomputes item i's hardened signature and its size into w.
+// hardSigItem recomputes item i's hardened signature, as a label set and
+// as a rank mask, and its size into w.
 func (m *Model) hardSigItem(w *callWork, i int) {
 	vals := m.yhatVals[i]
-	var vb [votedStack]int
-	voted := m.voted(i, vb[:])
+	voted := m.votedList(i)
+	_, ranks, _ := m.itemMasks(i)
 	sig := &w.sigSet[i]
 	sig.Clear()
+	clear(ranks)
 	cnt, bestK, bestV := 0, -1, 0.0
 	for k, v := range vals {
 		if v > 0.5 {
 			cnt++
 			sig.Add(voted[k])
+			ranks[k>>6] |= 1 << (uint(k) & 63)
 		}
 		if v > bestV {
 			bestK, bestV = k, v
@@ -476,6 +501,7 @@ func (m *Model) hardSigItem(w *callWork, i int) {
 	if cnt == 0 && bestK >= 0 {
 		cnt = 1
 		sig.Add(voted[bestK])
+		ranks[bestK>>6] |= 1 << (uint(bestK) & 63)
 	}
 	w.sigLen[i] = cnt
 }
@@ -515,70 +541,91 @@ func (m *Model) coinOffsets() (tp, tpD, fp, fpD, prevN, prevD, tpU, tpDU, fpU, f
 // or left it out (miss), counted raw per worker and κ-weighted per
 // community, plus the per-label prevalence numerators. Identical between
 // the batch pass (all items, sharded) and the SVI pass (batch items only).
+//
+// Bit-exactness note: for a fixed answer, each accumulator slot receives
+// some number of additions of the same value (kw, or 1 for the raw
+// counts) — the order of *identical* addends doesn't change the result,
+// so the loop is free to count the (pos, vote) combinations first and
+// then apply each slot's additions in a register, as long as the addition
+// *count* per slot matches the per-voted-label walk it replaces.
 func (m *Model) itemCoinStats(i int, buf []float64) {
-	_, _, _, _, offPrevN, offPrevD, _, _, _, _ := m.coinOffsets()
+	offTP, offTPD, offFP, offFPD, offPrevN, offPrevD, offTPU, offTPDU, offFPU, offFPDU := m.coinOffsets()
 	vals := m.yhatVals[i]
-	var vb [votedStack]int
-	for k, c := range m.voted(i, vb[:]) {
+	for k, c := range m.votedList(i) {
 		buf[offPrevN+c] += vals[k]
 		buf[offPrevD+c]++
 	}
-	l := &m.perItem[i]
-	for si, sn := 0, l.segs(); si < sn; si++ {
-		m.itemCoinRefs(i, l.seg(si), buf)
-	}
-}
-
-// itemCoinRefs accumulates the two-coin counts of one contiguous answer
-// segment of item i (see itemCoinStats). Bit-exactness note: for a fixed
-// answer, each accumulator slot receives some number of additions of the
-// same value (kw, or 1 for the raw counts) — the order of *identical*
-// addends doesn't change the result, so the loop is free to count the
-// (pos, vote) combinations first and then apply each slot's additions in a
-// register, as long as the addition *count* per slot matches the
-// per-voted-label walk it replaces.
-func (m *Model) itemCoinRefs(i int, refs []ansRef, buf []float64) {
-	offTP, offTPD, offFP, offFPD, _, _, offTPU, offTPDU, offFPU, offFPDU := m.coinOffsets()
-	sig := m.work.sigSet[i]
 	// Hardened-signature sizes are per-item constants: every answer asserts
 	// or misses against the same nPos positive and nNeg negative slots.
+	nw, sig, masks := m.itemMasks(i)
 	nPos := m.work.sigLen[i]
-	nNeg := len(m.yhatVals[i]) - nPos
-	for _, ar := range refs {
-		u := int(ar.other)
-		kappaRow := m.kappa.Row(u)
-		// Count this answer's votes that land on positive / negative slots.
-		// Its labels are a subset of the voted list and the signature is
-		// exactly the positive slots, so one popcount of answer ∩ signature
-		// counts the positive votes.
-		ans := m.intern.At(ar.set)
-		nTP := ans.IntersectLen(sig)
-		nFP := ans.Len() - nTP
-		buf[offTPDU+u] += float64(nPos)
-		buf[offTPU+u] += float64(nTP)
-		buf[offFPDU+u] += float64(nNeg)
-		buf[offFPU+u] += float64(nFP)
-		for mm, kw := range kappaRow {
-			if kw < respFloor {
-				continue
+	nNeg := len(vals) - nPos
+	l := &m.perItem[i]
+	p := 0
+	for si, sn := 0, l.segs(); si < sn; si++ {
+		for _, ar := range l.seg(si) {
+			u := int(ar.other)
+			kappaRow := m.kappa.Row(u)
+			// Count this answer's votes that land on positive / negative
+			// slots. Its labels are a subset of the voted list and the
+			// signature is exactly the positive slots, so the popcount of
+			// its rank mask ∩ the signature's counts the positive votes.
+			nAns, nTP := maskCounts(masks[p:p+nw], sig)
+			p += nw
+			nFP := nAns - nTP
+			buf[offTPDU+u] += float64(nPos)
+			buf[offTPU+u] += float64(nTP)
+			buf[offFPDU+u] += float64(nNeg)
+			buf[offFPU+u] += float64(nFP)
+			for mm, kw := range kappaRow {
+				if kw < respFloor {
+					continue
+				}
+				addCoins(buf, offTPD+mm, offTP+mm, offFPD+mm, offFP+mm, kw, nPos, nTP, nNeg, nFP)
 			}
-			addN(buf, offTPD+mm, kw, nPos)
-			addN(buf, offTP+mm, kw, nTP)
-			addN(buf, offFPD+mm, kw, nNeg)
-			addN(buf, offFP+mm, kw, nFP)
 		}
 	}
 }
 
-// addN adds v to buf[idx] n times through a register — the bit-exact
-// replacement for n interleaved in-memory additions of the same value (it
-// must stay n additions: v*n would round differently).
-func addN(buf []float64, idx int, v float64, n int) {
-	s := buf[idx]
-	for r := 0; r < n; r++ {
-		s += v
+// addCoins adds v to buf[tpd], buf[tp], buf[fpd] and buf[fp] nPos, nTP,
+// nNeg and nFP times, with nTP ≤ nPos and nFP ≤ nNeg, each slot through a
+// register — the bit-exact replacement for that many interleaved in-memory
+// additions of the same value (it must stay n additions: v*n would round
+// differently). The four register chains run interleaved in one loop:
+// each still adds its own terms one at a time, but the four latency-bound
+// chains overlap.
+func addCoins(buf []float64, tpd, tp, fpd, fp int, v float64, nPos, nTP, nNeg, nFP int) {
+	a, b, c, d := buf[tpd], buf[tp], buf[fpd], buf[fp]
+	r := 0
+	for ; r < nTP && r < nFP; r++ {
+		a += v
+		b += v
+		c += v
+		d += v
 	}
-	buf[idx] = s
+	for ; r < nPos && r < nNeg; r++ {
+		a += v
+		if r < nTP {
+			b += v
+		}
+		c += v
+		if r < nFP {
+			d += v
+		}
+	}
+	for ; r < nPos; r++ {
+		a += v
+		if r < nTP {
+			b += v
+		}
+	}
+	for ; r < nNeg; r++ {
+		c += v
+		if r < nFP {
+			d += v
+		}
+	}
+	buf[tpd], buf[tp], buf[fpd], buf[fp] = a, b, c, d
 }
 
 // workerAgreeStats adds worker u's κ-weighted mean agreement with the

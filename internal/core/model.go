@@ -398,9 +398,15 @@ type callWork struct {
 	// (psiTGen, 0 until then). It turns each panel fill from |set| stride-C
 	// gather passes over the cube into |set| contiguous vector adds; the
 	// transpose itself is one O(TM·C) pass, amortised across every set
-	// built that generation. buf holds the slot-major [slots][T·M] sum
-	// panels (panels.go). Both are allocated by the first panel build.
+	// built that generation. psiTm is the same transpose community-major
+	// — psiTm[c·TM + m·T + t] = elogPsi[(t·M+m)·C + c] — so one
+	// community's T entries of a label are one contiguous run: the ϕ
+	// update of an answer with at most two live communities sums them for
+	// all T clusters at once (scorePhiRefs). buf holds the slot-major
+	// [slots][T·M] sum panels (panels.go). All three are allocated by the
+	// first panel build.
 	psiT    []float64
+	psiTm   []float64
 	psiTGen uint64
 	buf     []float64
 
@@ -416,6 +422,18 @@ type callWork struct {
 	prior      []float64      // C×T capped cluster priors (clusterPriorsInto)
 	sigLen     []int          // per item: hardened-signature size
 	sigSet     []labelset.Set // per item: the signature as a bitset (allocated by the first refreshHardSig)
+
+	// itemTables holds the voted lists and rank masks of the items the
+	// call has expanded (tables.go), marked unexpanded on every borrow.
+	itemTables
+
+	// cubeT is the prediction cube of the call — ψ^MAP, or the
+	// posterior mean for the log-likelihood diagnostic — label-major and
+	// community-major: cubeT[c·TM + m·T + t] = cube[(t·M+m)·C + c]
+	// (transposeCube). The product panels multiply its contiguous T·M
+	// runs, and a set without a panel takes each community's T-run of
+	// its members. Allocated by the first transpose.
+	cubeT []float64
 
 	// trainBufs holds the buffers only training reads, allocated by a
 	// unit's first training call (trainScratch).
@@ -575,7 +593,8 @@ func (m *Model) initialize() {
 
 // seedFromData replaces the jittered-uniform responsibilities with
 // data-driven ones (DESIGN.md D6). Requires imputeTruth to have produced
-// vote fractions first. Item clusters: each item is softly assigned to the
+// vote fractions, and expanded every item's voted list, earlier in the
+// same call. Item clusters: each item is softly assigned to the
 // seed item (T spread-out representatives) whose majority-voted label
 // signature is most Jaccard-similar. Worker communities: workers are ranked
 // by mean agreement of their answers with the majority signature and split
@@ -588,8 +607,7 @@ func (m *Model) seedFromData() {
 	// to the top-ŷ label).
 	signatures := make([][]int, m.numItems)
 	for i := 0; i < m.numItems; i++ {
-		var vb [votedStack]int
-		voted := m.voted(i, vb[:])
+		voted := m.votedList(i)
 		vals := m.yhatVals[i]
 		var sig []int
 		bestK, bestV := -1, 0.0
@@ -1066,7 +1084,8 @@ func (m *Model) borrowWork() *callWork {
 		if m.work = workPool.get(m.shapeKey()); m.work == nil {
 			m.work = m.newCallWork()
 		}
-		clear(m.work.groupCount) // the one buffer read before it is written
+		clear(m.work.groupCount) // the buffers read before they are written
+		m.work.itemTables.reset()
 	}
 	return m.work
 }
@@ -1098,6 +1117,7 @@ func (m *Model) newCallWork() *callWork {
 		phiMAP:     take(T * C),
 		prior:      take(T * C),
 		sigLen:     make([]int, I),
+		itemTables: itemTables{votedAt: make([]int, I), maskAt: make([]int, I)},
 	}
 }
 
@@ -1155,18 +1175,6 @@ func (m *Model) answerScore(t, mm int, xs []int) float64 {
 		s += psi[base+c]
 	}
 	return s
-}
-
-// votedStack is the voted-label count the per-item expansions hold in a
-// stack buffer (voted); an item with more voted labels expands onto the
-// heap.
-const votedStack = 64
-
-// voted expands item i's voted labels into buf, ascending — the order its
-// ŷ entries are aligned with — and returns them. The hot loops expand an
-// item once and index the result, never re-walking the bits per answer.
-func (m *Model) voted(i int, buf []int) []int {
-	return m.votedSets[i].AppendTo(buf[:0])
 }
 
 // NumAnswers returns the number of answers the model currently retains in

@@ -37,7 +37,7 @@ import (
 //     cache: the Publisher's clone shares the live model's (DESIGN.md §9).
 //
 //   - Product panels over a posterior-mean or MAP cube (prodCache, in
-//     workScratch): P[t·M+m] = Π_{c∈set} max(cube[t][m][c], 1e-12), used by
+//     workScratch): P[m·T+t] = Π_{c∈set} max(cube[t][m][c], 1e-12), used by
 //     the data-log-lik diagnostic and the §3.4 prediction weights. The cube
 //     changes per call, so these are rebuilt by buildProductPanels at each
 //     call site and valid only until the next build.
@@ -69,7 +69,7 @@ const (
 	// prodPanelMinCount keeps the reuse gate for product panels: unlike sum
 	// panels (read by two score kernels per occurrence), a product panel is
 	// read once per occurrence, so a count-1 set's build (|set|·T·M
-	// multiplies via mathx.MulStridedFloor) costs exactly the fallback walk
+	// multiplies via mathx.MulFloor) costs exactly the fallback walk
 	// it would replace and saves nothing.
 	prodPanelMinCount = 2
 )
@@ -261,24 +261,43 @@ func (m *Model) ensurePsiT() {
 	}
 	if w.psiT == nil {
 		w.psiT = make([]float64, m.T*m.M*m.numLabels)
+		w.psiTm = make([]float64, m.T*m.M*m.numLabels)
 	}
 	m.transposePsi()
 	w.psiTGen = m.expGen
 }
 
-// transposePsi refreshes the column-major elogPsi copy the panel fills
-// read. Serial (called from the serial sync points before the parallel
-// fill); values are copied verbatim, so downstream sums see exactly the
-// cube's bits.
+// transposePsi refreshes the column-major elogPsi copies the panel fills
+// and the gather kernels read: psiT cluster-major, psiTm community-major.
+// Serial (called from the serial sync points before the parallel fill);
+// values are copied verbatim, so downstream sums see exactly the cube's
+// bits.
 func (m *Model) transposePsi() {
 	TM := m.T * m.M
 	C := m.numLabels
 	psi := m.work.elogPsi.Data()
 	psiT := m.work.psiT
 	for r := 0; r < TM; r++ {
-		row := psi[r*C : (r+1)*C]
-		for c, v := range row {
+		for c, v := range psi[r*C : (r+1)*C] {
 			psiT[c*TM+r] = v
+		}
+	}
+	m.communityMajor(psi, m.work.psiTm)
+}
+
+// communityMajor copies a (T·M)×C row-major cube into dst label-major and
+// community-major — dst[c·TM + m·T + t] = cube[(t·M+m)·C + c] — so one
+// community's T entries of a label are one contiguous run. Values are
+// copied verbatim.
+func (m *Model) communityMajor(cube, dst []float64) {
+	T, M, C := m.T, m.M, m.numLabels
+	TM := T * M
+	for t := 0; t < T; t++ {
+		for mm := 0; mm < M; mm++ {
+			r := t*M + mm
+			for c, v := range cube[r*C : (r+1)*C] {
+				dst[c*TM+mm*T+t] = v
+			}
 		}
 	}
 }
@@ -379,6 +398,17 @@ type panelScratch struct {
 	offs   []int
 	groups []int32
 	canon  []int
+	row    []float64 // one answer's T cluster reductions (scorePhiRefs)
+}
+
+// tRow returns the scratch's T-length row, zeroed.
+func (s *panelScratch) tRow(T int) []float64 {
+	if cap(s.row) < T {
+		s.row = make([]float64, T)
+	}
+	s.row = s.row[:T]
+	clear(s.row)
+	return s.row
 }
 
 // putScratchPanel returns a scratch panel to the pool; nil-safe so callers
@@ -418,19 +448,33 @@ func (pc *prodCache) panel(id int32, TM int) []float64 {
 	return pc.buf[int(s)*TM : (int(s)+1)*TM]
 }
 
-// buildProductPanels fills the scratch product-panel cache against cube, a
-// (T·M)×C row-major matrix body (posterior-mean ψ̄ for the log-lik
-// diagnostic, ψ^MAP for prediction): panel[r] = Π_{c∈set} max(cube[r·C+c],
-// 1e-12), multiplied in canonical order — the legacy per-answer product
-// order. Returns nil when the cache is disabled. Must be called from a
-// serial sync point; the returned cache is read-only until the next build.
-func (m *Model) buildProductPanels(cube []float64) *prodCache {
+// transposeCube copies a (T·M)×C row-major cube (ψ^MAP, or the posterior
+// mean ψ̄) into the call work's cubeT, label-major and community-major
+// (communityMajor), and returns it. A serial sync point.
+func (m *Model) transposeCube(cube []float64) []float64 {
+	w := m.borrowWork()
+	if w.cubeT == nil {
+		w.cubeT = make([]float64, m.T*m.M*m.numLabels)
+	}
+	m.communityMajor(cube, w.cubeT)
+	return w.cubeT
+}
+
+// buildProductPanels fills the scratch product-panel cache against a
+// transposed cube (transposeCube of ψ̄ for the log-lik diagnostic, of
+// ψ^MAP for prediction). Panels are m-major: panel[m·T+t] = Π_{c∈set}
+// max(cube[(t·M+m)·C+c], 1e-12), multiplied in canonical order — the
+// legacy per-answer product order — so each community's T likelihoods are
+// one contiguous run, which prediction adds across clusters in one
+// mathx.Axpy. Returns nil when the cache is disabled. Must be called from
+// a serial sync point; the returned cache is read-only until the next
+// build.
+func (m *Model) buildProductPanels(cubeT []float64) *prodCache {
 	if m.panels.disabled {
 		return nil
 	}
 	pc := &m.ws.prod
 	TM := m.T * m.M
-	C := m.numLabels
 	maxSlots := panelBudgetFloats / TM
 	n := m.intern.Len()
 	for len(pc.slot) < n {
@@ -450,15 +494,15 @@ func (m *Model) buildProductPanels(cube []float64) *prodCache {
 		pc.buf = make([]float64, n, n+n/4)
 	}
 	pc.buf = pc.buf[:pc.slots*TM]
-	// Same loop interchange as fillScorePanel: each dst[r] multiplies the
-	// floored members in canonical order, one strided kernel pass per
-	// member — bit-identical to the legacy per-row product loop.
+	// Each dst entry multiplies the floored members in canonical order,
+	// one contiguous kernel pass over the member's T·M run per member —
+	// bit-identical to the legacy per-row product loop.
 	m.parallelFor(pc.slots, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			dst := pc.buf[s*TM : (s+1)*TM]
 			mathx.Fill(dst, 1)
 			m.intern.At(pc.ids[s]).Range(func(c int) bool {
-				mathx.MulStridedFloor(dst, cube[c:], C, 1e-12)
+				mathx.MulFloor(dst, cubeT[c*TM:(c+1)*TM], 1e-12)
 				return true
 			})
 		}

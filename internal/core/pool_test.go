@@ -90,8 +90,28 @@ func fillRaw[T any](p unsafe.Pointer, n int, v T) {
 // training scratch and the panel work (the transposed ψ cube and the
 // sum-panel buffer). A borrower that reads pooled memory before writing
 // it, or a returned buffer that still reaches a live model, then changes
-// bits the referees pin.
+// bits the referees pin. Every field of the call work must be storage the
+// poison reaches, or a scalar the borrow resets.
 func TestPoolHygiene(t *testing.T) {
+	// The scalars of a unit: the transposed cube's generation (reset when
+	// the unit goes back) and the item tables' fill lengths (reset on
+	// borrow).
+	scalars := map[string]bool{"psiTGen": true, "nLab": true, "nMask": true}
+	var check func(typ reflect.Type)
+	check = func(typ reflect.Type) {
+		for k := 0; k < typ.NumField(); k++ {
+			f := typ.Field(k)
+			switch {
+			case f.Type.Kind() == reflect.Struct:
+				check(f.Type)
+			case f.Type.Kind() == reflect.Slice || f.Type.Kind() == reflect.Pointer:
+			case !scalars[f.Name]:
+				t.Errorf("call-work field %s (%s) is neither pooled storage nor a scalar reset on borrow", f.Name, f.Type)
+			}
+		}
+	}
+	check(reflect.TypeOf(callWork{}))
+
 	poolPutHook = poison
 	t.Cleanup(func() { poolPutHook = nil })
 	for _, tc := range []struct {
@@ -99,6 +119,8 @@ func TestPoolHygiene(t *testing.T) {
 		test func(*testing.T)
 	}{
 		{"PublishFullMatchesLegacy", TestPublishFullMatchesLegacy},
+		{"PublishFullMatchesReferee", TestPublishFullMatchesReferee},
+		{"ImputeMatchesRefereeOnWideItems", TestImputeMatchesRefereeOnWideItems},
 		{"IncrementalPublishMatchesFullRebuild", TestIncrementalPublishMatchesFullRebuild},
 		{"PublishAcrossWindowCompaction", TestPublishAcrossWindowCompaction},
 		{"PublishNeverPerturbsLiveFit", TestPublishNeverPerturbsLiveFit},

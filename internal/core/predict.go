@@ -19,22 +19,30 @@ func (m *Model) Predict() ([]labelset.Set, error) {
 	if !m.fitted {
 		return nil, fmt.Errorf("%w: Predict before Fit/FitStream", ErrState)
 	}
-	pred := make([]labelset.Set, m.numItems)
-	// Posterior-mode (MAP) estimates ψ^MAP, φ^MAP of the Dirichlet
-	// posteriors, shared read-only across shards, plus the per-set
-	// likelihood panels Π_c ψ^MAP (built once per call, read-only in the
-	// shards; nil entries fall back to the identical per-answer product).
-	psiMAP := m.dirichletModes(m.lambda)
-	prior := m.clusterPriors()
 	defer m.releaseScratch()
-	pp := m.buildProductPanels(psiMAP)
+	return m.predictAll(), nil
+}
+
+// predictAll instantiates every item and leaves the call work held, so a
+// caller can read the items' expanded voted lists after it. The inputs
+// shared read-only across the shards are the posterior-mode (MAP)
+// estimates ψ^MAP, φ^MAP of the Dirichlet posteriors — ψ^MAP as the
+// transposed cube (transposeCube) — the cluster priors, and the per-set
+// likelihood panels Π_c ψ^MAP (built once per call; sets without a panel
+// take the identical product from the transposed cube).
+func (m *Model) predictAll() []labelset.Set {
+	pred := make([]labelset.Set, m.numItems)
+	prior := m.clusterPriors()
+	cubeT := m.transposeCube(m.dirichletModes(m.lambda))
+	m.expandItems(nil)
+	pp := m.buildProductPanels(cubeT)
 	m.parallelFor(m.numItems, func(lo, hi int) {
 		sc := newPredictScratch(m)
 		for i := lo; i < hi; i++ {
-			pred[i] = m.predictItem(i, psiMAP, prior, pp, sc)
+			pred[i] = m.predictItem(i, prior, pp, cubeT, sc)
 		}
 	})
-	return pred, nil
+	return pred
 }
 
 // PredictItem predicts a single item with fresh scratch. Prefer Predict for
@@ -46,12 +54,13 @@ func (m *Model) PredictItem(i int) (labelset.Set, error) {
 	if i < 0 || i >= m.numItems {
 		return labelset.Set{}, fmt.Errorf("%w: item %d out of range", ErrConfig, i)
 	}
-	psiMAP := m.dirichletModes(m.lambda)
 	prior := m.clusterPriors()
 	defer m.releaseScratch()
+	cubeT := m.transposeCube(m.dirichletModes(m.lambda))
+	m.expandItems([]int{i})
 	// No product panels for a single item: building the full per-set cache
 	// would dwarf the one item's work, and the nil path is bit-identical.
-	return m.predictItem(i, psiMAP, prior, nil, newPredictScratch(m)), nil
+	return m.predictItem(i, prior, nil, cubeT, newPredictScratch(m)), nil
 }
 
 // clusterPriors builds the §3.4 cluster-prior table in the call's work
@@ -152,6 +161,7 @@ func (m *Model) clusterTruthSizesInto(dst []float64) {
 type predictScratch struct {
 	logW    []float64   // T: ln w_it (cluster posterior incl. answer evidence)
 	inner   []float64   // T: one answer's community mixtures, then their logs
+	prod    []float64   // T: one community's p(x | ψ^MAP_tm) for a set without a panel
 	runLogS []float64   // T: running ln S_t(y) during greedy
 	trial   []float64   // T
 	wt      []float64   // T: mixture weights in probability space
@@ -172,7 +182,7 @@ type scoredCand struct {
 
 func newPredictScratch(m *Model) *predictScratch {
 	T, M, C := m.T, m.M, m.numLabels
-	rows := make([]float64, 5*T) // one allocation for the five T-rows
+	rows := make([]float64, 6*T) // one allocation for the six T-rows
 	ints := make([]int, M+C)     // and one for active and canon
 	return &predictScratch{
 		logW:    rows[0*T : 1*T : 1*T],
@@ -180,6 +190,7 @@ func newPredictScratch(m *Model) *predictScratch {
 		runLogS: rows[2*T : 3*T : 3*T],
 		trial:   rows[3*T : 4*T : 4*T],
 		wt:      rows[4*T : 5*T : 5*T],
+		prod:    rows[5*T : 6*T : 6*T],
 		seen:    labelset.New(m.numLabels),
 		active:  ints[:0:M],
 		canon:   ints[M:M],
@@ -187,28 +198,33 @@ func newPredictScratch(m *Model) *predictScratch {
 }
 
 // predictItem implements the §3.4 instantiation for one item (DESIGN.md D3
-// documents the multinomial→Bernoulli conversion of the set score). pp, when
-// non-nil, supplies per-set likelihood panels over ψ^MAP so the community
-// mixture per (answer, cluster) is a contiguous floored dot; answers without
-// a panel recompute the product with identical float-operation order. prior
-// is the clusterPriorsInto table.
-func (m *Model) predictItem(i int, psiMAP, prior []float64, pp *prodCache, sc *predictScratch) labelset.Set {
-	m.predictWeights(i, psiMAP, pp, sc)
+// documents the multinomial→Bernoulli conversion of the set score). pp,
+// when non-nil, supplies per-set likelihood panels over ψ^MAP; answers
+// without a panel recompute the products from cubeT, the transposed ψ^MAP,
+// with identical float-operation order. prior is the clusterPriorsInto
+// table.
+func (m *Model) predictItem(i int, prior []float64, pp *prodCache, cubeT []float64, sc *predictScratch) labelset.Set {
+	m.predictWeights(i, pp, cubeT, sc)
 	return m.instantiateItem(i, prior, sc)
 }
 
 // predictWeights fills sc.logW with the normalised cluster posterior
 // weights ln w_it = ln ϕ_it + Σ_{u∈U_i} ln Σ_m κ_um p(x_iu | ψ_tm^MAP).
-// The loop is answer-major: each answer's panel, κ row and set of active
-// communities are looked up once for all T clusters, and its T inner sums
-// go through one mathx.LogRow, while every accumulator still adds its terms
-// in the same order (answers in index order, communities ascending), so
-// the bits match a cluster-major loop.
-func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predictScratch) {
-	M, T, C := m.M, m.T, m.numLabels
+// The loop is answer-major and, within an answer, community-major: each
+// answer's panel, κ row and set of active communities are looked up once,
+// every active community adds its T likelihoods in one mathx.Axpy over the
+// m-major panel's contiguous T-run (or over the product of its members'
+// T-runs of cubeT, for a set without a panel), and the T inner sums go
+// through one mathx.LogRow. Every accumulator still adds its terms in the
+// same order (answers in index order, communities ascending), so the bits
+// match a cluster-major loop.
+func (m *Model) predictWeights(i int, pp *prodCache, cubeT []float64, sc *predictScratch) {
+	M, T := m.M, m.T
+	TM := T * M
 	for t := 0; t < T; t++ {
 		sc.logW[t] = math.Log(math.Max(m.phi.At(i, t), 1e-300))
 	}
+	inner := sc.inner
 	ansL := &m.perItem[i]
 	for s, sn := 0, ansL.segs(); s < sn; s++ {
 		for _, ar := range ansL.seg(s) {
@@ -222,42 +238,31 @@ func (m *Model) predictWeights(i int, psiMAP []float64, pp *prodCache, sc *predi
 			sc.active = act
 			var panel []float64
 			if pp != nil {
-				panel = pp.panel(ar.set, T*M)
+				panel = pp.panel(ar.set, TM)
 			}
-			var xs []int
-			if panel == nil {
+			clear(inner)
+			if panel != nil {
+				for _, mm := range act {
+					mathx.Axpy(kappaRow[mm], panel[mm*T:mm*T+T], inner)
+				}
+			} else {
 				sc.canon = m.intern.AppendCanon(sc.canon[:0], ar.set)
-				xs = sc.canon
-			}
-			for t := 0; t < T; t++ {
-				inner := 0.0
-				if panel != nil {
-					row := panel[t*M : t*M+M]
-					for _, mm := range act {
-						inner += kappaRow[mm] * row[mm]
+				for _, mm := range act {
+					mathx.Fill(sc.prod, 1)
+					for _, c := range sc.canon {
+						b := c*TM + mm*T
+						mathx.MulFloor(sc.prod, cubeT[b:b+T], 1e-12)
 					}
-				} else {
-					tBase := t * M * C
-					for _, mm := range act {
-						p := 1.0
-						base := tBase + mm*C
-						for _, c := range xs {
-							v := psiMAP[base+c]
-							if v < 1e-12 {
-								v = 1e-12
-							}
-							p *= v
-						}
-						inner += kappaRow[mm] * p
-					}
+					mathx.Axpy(kappaRow[mm], sc.prod, inner)
 				}
-				if inner < 1e-300 {
-					inner = 1e-300
-				}
-				sc.inner[t] = inner
 			}
-			mathx.LogRow(sc.inner, sc.inner)
-			for t, l := range sc.inner {
+			for t, v := range inner {
+				if v < 1e-300 {
+					inner[t] = 1e-300
+				}
+			}
+			mathx.LogRow(inner, inner)
+			for t, l := range inner {
 				sc.logW[t] += l
 			}
 		}
@@ -343,9 +348,11 @@ func (m *Model) instantiateItem(i int, prior []float64, sc *predictScratch) labe
 	// candidate, because trimToCap ranks them all.
 	//
 	// Most clusters hold no mass (n̄_t = 1) and fall back to labelPrev_c, so
-	// p_tk repeats along a candidate's row: a cluster whose p is bitwise
-	// equal to the previous cluster's reuses that cluster's logarithms
-	// (DESIGN.md §8).
+	// p_tk repeats along a candidate's row: every cluster whose prior is at
+	// or below the floor blends the floor itself, so its p is the
+	// candidate's pFloor, whose logarithms are taken once per candidate,
+	// and any other cluster whose p is bitwise equal to the previous
+	// cluster's reuses that cluster's logarithms (DESIGN.md §8).
 	copy(sc.runLogS, sc.logW)
 	pk := sc.trial // free until the search starts
 	live := 0
@@ -356,16 +363,22 @@ func (m *Model) instantiateItem(i int, prior []float64, sc *predictScratch) labe
 		pickable := m.cfg.ExhaustivePrediction
 		row := prior[c*T : c*T+T]
 		lp := m.labelPrev[c]
+		pFloor := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*lp, 1e-6, 0.99)
+		l1Floor, haveFloor := 0.0, false // ln(1−pFloor), taken at first use
 		for t, pr := range row {
-			if lp > pr {
-				pr = lp
-			}
-			p := mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*pr, 1e-6, 0.99)
-			var l1p float64
-			if t > 0 && math.Float64bits(p) == math.Float64bits(pk[t-1]) {
-				l1p = d[t-1]
+			var p, l1p float64
+			if lp >= pr {
+				if !haveFloor {
+					l1Floor, haveFloor = math.Log1p(-pFloor), true
+				}
+				p, l1p = pFloor, l1Floor
 			} else {
-				l1p = math.Log1p(-p)
+				p = mathx.Clamp(voteWeight*yv[k]+(1-voteWeight)*pr, 1e-6, 0.99)
+				if t > 0 && math.Float64bits(p) == math.Float64bits(pk[t-1]) {
+					l1p = d[t-1]
+				} else {
+					l1p = math.Log1p(-p)
+				}
 			}
 			sc.runLogS[t] += l1p
 			pk[t], d[t] = p, l1p
@@ -376,10 +389,17 @@ func (m *Model) instantiateItem(i int, prior []float64, sc *predictScratch) labe
 		if !pickable {
 			continue
 		}
+		dFloor, haveDFloor := 0.0, false // ln pFloor − ln(1−pFloor)
 		for t := 0; t < T; t++ {
-			if t > 0 && math.Float64bits(pk[t]) == math.Float64bits(pk[t-1]) {
+			switch {
+			case haveFloor && math.Float64bits(pk[t]) == math.Float64bits(pFloor):
+				if !haveDFloor {
+					dFloor, haveDFloor = math.Log(pFloor)-l1Floor, true
+				}
+				d[t] = dFloor
+			case t > 0 && math.Float64bits(pk[t]) == math.Float64bits(pk[t-1]):
 				d[t] = d[t-1]
-			} else {
+			default:
 				d[t] = math.Log(pk[t]) - d[t]
 			}
 		}
@@ -417,10 +437,9 @@ func (m *Model) predictCandidates(i int, prior []float64, sc *predictScratch) []
 	if m.perItem[i].Len() < 2 {
 		maxExtra = 0
 	}
-	voted := m.votedSets[i]
-	sc.cand = voted.AppendTo(sc.cand[:0])
+	sc.cand = append(sc.cand[:0], m.votedList(i)...)
 	sc.seen.Clear()
-	sc.seen.UnionWith(voted)
+	sc.seen.UnionWith(m.votedSets[i])
 	// Mixture weights in probability space.
 	wt := sc.wt
 	for t := 0; t < T; t++ {

@@ -271,6 +271,7 @@ func (p *Publisher) publishRefresh(dirty []int) (*ConsensusView, error) {
 	src := p.src
 	prior := src.clusterPriors()
 	defer src.releaseScratch()
+	src.expandItems(dirty)
 
 	if cap(p.preds) < len(dirty) {
 		p.preds = make([]labelset.Set, len(dirty))

@@ -1,6 +1,10 @@
 package core
 
-import "cpa/internal/labelset"
+import (
+	"fmt"
+
+	"cpa/internal/labelset"
+)
 
 // ModelStats is a cheap read-only summary of a model's training state, safe
 // to copy and publish outside the fitting goroutine. All fields are plain
@@ -79,10 +83,11 @@ type ConsensusView struct {
 // shards) and must be called from the goroutine that owns the model; the
 // returned view itself is safe to share.
 func (m *Model) ConsensusView() (*ConsensusView, error) {
-	pred, err := m.Predict()
-	if err != nil {
-		return nil, err
+	if !m.fitted {
+		return nil, fmt.Errorf("%w: ConsensusView before Fit/FitStream", ErrState)
 	}
+	defer m.releaseScratch()
+	pred := m.predictAll()
 	view := &ConsensusView{
 		Items: make([]ItemConsensus, m.numItems),
 		Stats: m.Stats(),
@@ -98,13 +103,13 @@ func (m *Model) ConsensusView() (*ConsensusView, error) {
 }
 
 // itemConsensus packages item i's entry, in fresh storage, from its
-// predicted set and its current voted labels and ŷ.
+// predicted set and its current voted labels and ŷ; the item must have
+// been expanded in this call.
 func (m *Model) itemConsensus(i int, pred labelset.Set) ItemConsensus {
 	it := ItemConsensus{Item: i, Labels: pred.Slice()}
 	if vals := m.yhatVals[i]; len(vals) > 0 {
 		it.Candidates = make([]Candidate, len(vals))
-		var vb [votedStack]int
-		for k, c := range m.voted(i, vb[:]) {
+		for k, c := range m.votedList(i) {
 			it.Candidates[k] = Candidate{Label: c, Confidence: vals[k]}
 		}
 	}

@@ -247,6 +247,29 @@ func (s Set) IntersectLen(o Set) int {
 	return count
 }
 
+// RankMask writes into dst the mask of s's members' ranks among in's
+// members: bit r of dst (word r/64, bit r%64) is set when the r-th smallest
+// member of in belongs to s. It zeroes dst first, which must hold at least
+// ⌈|in|/64⌉ words. s must be a subset of in. Each member's rank is the
+// popcount of in's words below it, so the cost is O(words + |s|).
+func (s Set) RankMask(in Set, dst []uint64) {
+	clear(dst)
+	base := 0
+	for wi, w := range s.words {
+		var iw uint64
+		if wi < len(in.words) {
+			iw = in.words[wi]
+		}
+		for w != 0 {
+			b := w & -w
+			r := base + bits.OnesCount64(iw&(b-1))
+			dst[r>>6] |= 1 << (uint(r) & 63)
+			w &^= b
+		}
+		base += bits.OnesCount64(iw)
+	}
+}
+
 // Equal reports whether the two sets have identical members.
 func (s Set) Equal(o Set) bool {
 	long, short := s.words, o.words

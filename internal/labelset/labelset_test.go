@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -338,5 +339,37 @@ func TestCompactTrimsAndCopies(t *testing.T) {
 	}
 	if e := New(200).Compact(); e.words != nil {
 		t.Fatalf("Compact of an empty set holds %d words", len(e.words))
+	}
+}
+
+// TestRankMask checks RankMask against the rank walk it replaces: a
+// member's rank is its index in in.Slice(), across one to three words of
+// in and subsets of every density.
+func TestRankMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(190)
+		var in, s Set
+		for c := 0; c < n; c++ {
+			if rng.Intn(3) == 0 {
+				in.Add(c)
+			}
+		}
+		members := in.Slice()
+		want := make([]uint64, (len(members)+63)/64+1)
+		for r, c := range members {
+			if rng.Intn(2) == 0 {
+				s.Add(c)
+				want[r/64] |= 1 << (r % 64)
+			}
+		}
+		got := make([]uint64, len(want))
+		for w := range got {
+			got[w] = ^uint64(0) // RankMask zeroes dst first
+		}
+		s.RankMask(in, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: in %v s %v: mask %x, want %x", trial, in, s, got, want)
+		}
 	}
 }

@@ -21,36 +21,38 @@ import (
 // kernelImpl is one backend's kernel table. Implementations receive
 // pre-clamped, non-empty, equal-length slices from the exported wrappers.
 type kernelImpl struct {
-	name            string
-	axpy            func(a float64, x, y []float64)
-	fill            func(v []float64, x float64)
-	scale           func(v []float64, s float64)
-	sum             func(v []float64) float64
-	flooredDot      func(w, x []float64, floor float64) float64
-	digammaRow      func(x, dst []float64)
-	logRow          func(x, dst []float64)
-	expRow          func(x, dst []float64)
-	logSumExp       func(v []float64) float64
-	addStrided      func(dst, src []float64, stride int)
-	mulStridedFloor func(dst, src []float64, stride int, floor float64)
+	name       string
+	axpy       func(a float64, x, y []float64)
+	fill       func(v []float64, x float64)
+	scale      func(v []float64, s float64)
+	sum        func(v []float64) float64
+	flooredDot func(w, x []float64, floor float64) float64
+	digammaRow func(x, dst []float64)
+	logRow     func(x, dst []float64)
+	expRow     func(x, dst []float64)
+	logSumExp  func(v []float64) float64
+	addStrided func(dst, src []float64, stride int)
+	mulFloor   func(dst, src []float64, floor float64)
+	addSelect  func(dst []float64, mask []uint64, on, off float64)
 
 	axpyGatherSum             func(a float64, src []float64, offs []int, y []float64)
 	flooredDotGatherSumGroups func(w, src []float64, offs []int, groups []int32, floor float64) float64
 }
 
 var scalarImpl = kernelImpl{
-	name:            "scalar",
-	axpy:            axpyScalar,
-	fill:            fillScalar,
-	scale:           scaleScalar,
-	sum:             sumScalar,
-	flooredDot:      flooredDotScalar,
-	digammaRow:      digammaRowScalar,
-	logRow:          logRowScalar,
-	expRow:          expRowScalar,
-	logSumExp:       logSumExpScalar,
-	addStrided:      addStridedScalar,
-	mulStridedFloor: mulStridedFloorScalar,
+	name:       "scalar",
+	axpy:       axpyScalar,
+	fill:       fillScalar,
+	scale:      scaleScalar,
+	sum:        sumScalar,
+	flooredDot: flooredDotScalar,
+	digammaRow: digammaRowScalar,
+	logRow:     logRowScalar,
+	expRow:     expRowScalar,
+	logSumExp:  logSumExpScalar,
+	addStrided: addStridedScalar,
+	mulFloor:   mulFloorScalar,
+	addSelect:  addSelectScalar,
 
 	axpyGatherSum:             axpyGatherSumScalar,
 	flooredDotGatherSumGroups: flooredDotGatherSumGroupsScalar,

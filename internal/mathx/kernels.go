@@ -170,18 +170,20 @@ func AddStrided(dst, src []float64, stride int) {
 	active.addStrided(dst, src, stride)
 }
 
-// MulStridedFloor computes dst[i] *= max(src[i*stride], floor) — the
-// product-panel fill, where cube entries are clamped to a tiny positive
-// floor before multiplying. The clamp keeps the scalar semantics
-// exactly: v if v >= floor (and for NaN v), else floor.
-func MulStridedFloor(dst, src []float64, stride int, floor float64) {
+// MulFloor computes dst[i] *= max(src[i], floor) — the product-panel and
+// prediction-product step, where cube entries are clamped to a tiny
+// positive floor before multiplying. The clamp keeps the scalar semantics
+// exactly: v if v >= floor (and for NaN v), else floor. Element-wise, so
+// every backend is bit-identical to the scalar loop. Panics when src is
+// shorter than dst (a programming error at the panel layer).
+func MulFloor(dst, src []float64, floor float64) {
 	if len(dst) == 0 {
 		return
 	}
-	if stride < 1 || len(src) < (len(dst)-1)*stride+1 {
-		panic("mathx: MulStridedFloor stride/length mismatch")
+	if len(src) < len(dst) {
+		panic("mathx: MulFloor src shorter than dst")
 	}
-	active.mulStridedFloor(dst, src, stride, floor)
+	active.mulFloor(dst, src[:len(dst)], floor)
 }
 
 // AxpyGatherSum computes y[i] += a · Σ_j src[offs[j]+i] — the fused form
@@ -202,6 +204,22 @@ func AxpyGatherSum(a float64, src []float64, offs []int, y []float64) {
 		}
 	}
 	active.axpyGatherSum(a, src, offs, y)
+}
+
+// AddSelect computes dst[k] += on where bit k of mask is set (word k/64,
+// bit k%64) and dst[k] += off where it is clear — the two-coin vote/miss
+// accumulation of one answer over an item's voted labels, with the
+// answer's labels given as a mask of their ranks. Element-wise, so every
+// backend is bit-identical to the scalar loop: each element sees one add
+// of the selected value. Panics when mask holds fewer than len(dst) bits.
+func AddSelect(dst []float64, mask []uint64, on, off float64) {
+	if len(dst) == 0 {
+		return
+	}
+	if len(mask) < (len(dst)+63)/64 {
+		panic("mathx: AddSelect mask shorter than dst")
+	}
+	active.addSelect(dst, mask, on, off)
 }
 
 // FloorGroups appends to buf[:0] the index of every 4-element lane group
@@ -363,17 +381,29 @@ func addStridedScalar(dst, src []float64, stride int) {
 	}
 }
 
-// mulStridedFloorScalar: dst[i] *= max(src[i*stride], floor), where the
-// clamp keeps v when v >= floor or v is NaN — the exact semantics of the
-// hardware MAXPD with the floor as first source, which is what lets the
-// SIMD backend match bit-for-bit.
-func mulStridedFloorScalar(dst, src []float64, stride int, floor float64) {
+// mulFloorScalar: dst[i] *= max(src[i], floor), where the clamp keeps v
+// when v >= floor or v is NaN — the exact semantics of the hardware MAXPD
+// with the floor as first source, which is what lets the SIMD backend
+// match bit-for-bit.
+func mulFloorScalar(dst, src []float64, floor float64) {
 	for i := range dst {
-		v := src[i*stride]
+		v := src[i]
 		if v < floor {
 			v = floor
 		}
 		dst[i] *= v
+	}
+}
+
+// addSelectScalar: dst[k] += on or off by bit k of mask, without a branch
+// on the bit (the bits of an answer's rank mask do not predict).
+func addSelectScalar(dst []float64, mask []uint64, on, off float64) {
+	for k := range dst {
+		sel := off
+		if mask[k>>6]>>(uint(k)&63)&1 != 0 {
+			sel = on
+		}
+		dst[k] += sel
 	}
 }
 

@@ -54,7 +54,10 @@ func expBlockAsm(x, dst []float64)
 func addStridedAsm(dst, src []float64, stride int)
 
 //go:noescape
-func mulStridedFloorAsm(dst, src []float64, stride int, floor float64)
+func mulFloorAsm(dst, src []float64, floor float64)
+
+//go:noescape
+func addSelectAsm(dst []float64, mask []uint64, on, off float64)
 
 //go:noescape
 func axpyGatherSumAsm(a float64, src []float64, offs []int, y []float64)
@@ -159,12 +162,30 @@ func addStridedAVX2(dst, src []float64, stride int) {
 	addStridedAsm(dst, src, stride)
 }
 
-func mulStridedFloorAVX2(dst, src []float64, stride int, floor float64) {
+func mulFloorAVX2(dst, src []float64, floor float64) {
 	if len(dst) < simdMinLen {
-		mulStridedFloorScalar(dst, src, stride, floor)
+		mulFloorScalar(dst, src, floor)
 		return
 	}
-	mulStridedFloorAsm(dst, src, stride, floor)
+	mulFloorAsm(dst, src, floor)
+}
+
+// addSelectAVX2 runs the 4-aligned prefix in assembly — groups of four
+// never straddle a mask word — and the tail on the scalar reference.
+func addSelectAVX2(dst []float64, mask []uint64, on, off float64) {
+	if len(dst) < simdMinLen {
+		addSelectScalar(dst, mask, on, off)
+		return
+	}
+	n4 := len(dst) &^ 3
+	addSelectAsm(dst[:n4], mask, on, off)
+	for k := n4; k < len(dst); k++ {
+		sel := off
+		if mask[k>>6]>>(uint(k)&63)&1 != 0 {
+			sel = on
+		}
+		dst[k] += sel
+	}
 }
 
 func axpyGatherSumAVX2(a float64, src []float64, offs []int, y []float64) {
@@ -243,18 +264,19 @@ func registerSIMDBackends() {
 		return
 	}
 	avx2 := kernelImpl{
-		name:            "avx2",
-		axpy:            axpyAVX2,
-		fill:            fillAVX2,
-		scale:           scaleAVX2,
-		sum:             sumAVX2,
-		flooredDot:      flooredDotAVX2,
-		digammaRow:      digammaRowAVX2,
-		logRow:          logRowAVX2,
-		expRow:          expRowScalar,
-		logSumExp:       logSumExpScalar,
-		addStrided:      addStridedAVX2,
-		mulStridedFloor: mulStridedFloorAVX2,
+		name:       "avx2",
+		axpy:       axpyAVX2,
+		fill:       fillAVX2,
+		scale:      scaleAVX2,
+		sum:        sumAVX2,
+		flooredDot: flooredDotAVX2,
+		digammaRow: digammaRowAVX2,
+		logRow:     logRowAVX2,
+		expRow:     expRowScalar,
+		logSumExp:  logSumExpScalar,
+		addStrided: addStridedAVX2,
+		mulFloor:   mulFloorAVX2,
+		addSelect:  addSelectAVX2,
 
 		axpyGatherSum:             axpyGatherSumAVX2,
 		flooredDotGatherSumGroups: flooredDotGatherSumGroupsAVX2,

@@ -807,53 +807,42 @@ addcontigdone:
 	VZEROUPPER
 	RET
 
-// func mulStridedFloorAsm(dst, src []float64, stride int, floor float64)
-// dst[i] *= max(src[i*stride], floor) — the product-panel gather. The
-// MAXPD operand order (src1 = floor) reproduces the scalar clamp exactly:
-// f > v ? f : v, with NaN v surviving (unordered compares select src2).
-TEXT ·mulStridedFloorAsm(SB), NOSPLIT, $0-64
+// func mulFloorAsm(dst, src []float64, floor float64)
+// dst[i] *= max(src[i], floor) — the product-panel step. The MAXPD operand
+// order (src1 = floor) reproduces the scalar clamp exactly: f > v ? f : v,
+// with NaN v surviving (unordered compares select src2).
+TEXT ·mulFloorAsm(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
-	MOVQ stride+48(FP), R8
-	MOVSD floor+56(FP), X15
+	MOVSD floor+48(FP), X15
 	VBROADCASTSD X15, Y15
-	SHLQ $3, R8
-	LEAQ (R8)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R9)(R9*1), R11
 	MOVQ CX, DX
 	ANDQ $-4, DX
-mulstr4:
+mulf4:
 	CMPQ DX, $4
-	JL   mulstrtail
-	VMOVSD (SI), X1
-	VMOVSD (SI)(R8*1), X2
-	VUNPCKLPD X2, X1, X1
-	VMOVSD (SI)(R9*1), X2
-	VMOVSD (SI)(R10*1), X3
-	VUNPCKLPD X3, X2, X2
-	VINSERTF128 $1, X2, Y1, Y1
+	JL   mulftail
+	VMOVUPD (SI), Y1
 	VMAXPD Y1, Y15, Y1        // max(v, floor), src1=floor
 	VMULPD (DI), Y1, Y1
 	VMOVUPD Y1, (DI)
-	ADDQ R11, SI
+	ADDQ $32, SI
 	ADDQ $32, DI
 	SUBQ $4, DX
 	SUBQ $4, CX
-	JMP  mulstr4
-mulstrtail:
+	JMP  mulf4
+mulftail:
 	TESTQ CX, CX
-	JE   mulstrdone
+	JE   mulfdone
 	VMOVSD (SI), X1
 	VMAXSD X1, X15, X1
 	VMULSD (DI), X1, X1
 	VMOVSD X1, (DI)
-	ADDQ R8, SI
+	ADDQ $8, SI
 	ADDQ $8, DI
 	DECQ CX
-	JMP  mulstrtail
-mulstrdone:
+	JMP  mulftail
+mulfdone:
 	VZEROUPPER
 	RET
 
@@ -953,3 +942,48 @@ fdggdone:
 	MOVSD X0, ret+104(FP)
 	RET
 
+
+// func addSelectAsm(dst []float64, mask []uint64, on, off float64)
+// dst[k] += bit k of mask ? on : off over len(dst), a multiple of 4 (the
+// wrapper folds the tail). Each group of four lanes takes its four mask
+// bits from one word: the word, shifted down to the group's first bit, is
+// broadcast, ANDed with the lane bits 1,2,4,8 and compared back, and the
+// all-ones lanes blend on over off before one vertical add per element.
+TEXT ·addSelectAsm(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R9
+	MOVQ mask_base+24(FP), SI
+	VBROADCASTSD on+48(FP), Y0
+	VBROADCASTSD off+56(FP), Y1
+	VMOVDQU selc<>(SB), Y2
+	XORQ AX, AX
+selword:
+	CMPQ AX, R9
+	JGE  seldone
+	MOVQ (SI), DX             // the next 64 ranks' bits
+	ADDQ $8, SI
+	MOVQ $16, R10             // four-lane groups per word
+selgroup:
+	VMOVQ DX, X3
+	VPBROADCASTQ X3, Y3
+	VPAND Y2, Y3, Y3
+	VPCMPEQQ Y2, Y3, Y3       // lanes whose bit is set: all ones
+	VBLENDVPD Y3, Y0, Y1, Y4  // set ? on : off
+	VADDPD (DI)(AX*8), Y4, Y4 // dst + sel
+	VMOVUPD Y4, (DI)(AX*8)
+	SHRQ $4, DX
+	ADDQ $4, AX
+	CMPQ AX, R9
+	JGE  seldone
+	DECQ R10
+	JNZ  selgroup
+	JMP  selword
+seldone:
+	VZEROUPPER
+	RET
+
+DATA selc<>+0(SB)/8, $1
+DATA selc<>+8(SB)/8, $2
+DATA selc<>+16(SB)/8, $4
+DATA selc<>+24(SB)/8, $8
+GLOBL selc<>(SB), RODATA|NOPTR, $32

@@ -7,7 +7,7 @@ import (
 )
 
 // Equivalence suite for the panel-layer kernels: the strided cube walks
-// (AddStrided, MulStridedFloor) and the fused gather-sum kernels
+// (AddStrided), the floored product (MulFloor) and the fused gather-sum kernels
 // (AxpyGatherSum, FlooredDotGatherSumGroups). Same contract as
 // kernels_test.go: every backend bit-identical to the scalar reference at
 // every length 0..130, on well-behaved and adversarial data.
@@ -45,14 +45,17 @@ func TestBackendEquivalenceStrided(t *testing.T) {
 					if n > 0 {
 						floors = append(floors, src[rng.Intn(srcLen)])
 					}
+					if stride != 1 {
+						continue
+					}
 					for _, floor := range floors {
 						ds = append(ds[:0], dst...)
 						db = append(db[:0], dst...)
 						ForceBackend("scalar")
-						MulStridedFloor(ds, src, stride, floor)
+						MulFloor(ds, src, floor)
 						ForceBackend(name)
-						MulStridedFloor(db, src, stride, floor)
-						eqBits(t, "MulStridedFloor", n, ds, db)
+						MulFloor(db, src, floor)
+						eqBits(t, "MulFloor", n, ds, db)
 					}
 				}
 			}
@@ -255,4 +258,56 @@ func FuzzGatherSumEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBackendEquivalenceAddSelect pins the AddSelect scalar reference to
+// a per-bit branch, and every other backend to the reference, at every
+// length 0..200 (one to four mask words, tails included), on random masks
+// with adversarial dst, on and off values.
+func TestBackendEquivalenceAddSelect(t *testing.T) {
+	branchy := func(dst []float64, mask []uint64, on, off float64) {
+		for k := range dst {
+			if mask[k/64]&(1<<(k%64)) != 0 {
+				dst[k] += on
+			} else {
+				dst[k] += off
+			}
+		}
+	}
+	pairs := [][2]float64{{1.5, -0.25}, {math.Copysign(0, -1), 0}, {math.Inf(1), math.Inf(-1)}, {math.NaN(), 1e-300}}
+	run := func(t *testing.T, name string) {
+		rng := rand.New(rand.NewSource(53))
+		for n := 0; n <= 200; n++ {
+			for trial := 0; trial < 4; trial++ {
+				mask := make([]uint64, (n+63)/64+trial%2) // spare words are ignored
+				for w := range mask {
+					mask[w] = rng.Uint64()
+				}
+				dst := make([]float64, n)
+				fillVec(rng, dst, trial)
+				on, off := rng.NormFloat64(), rng.NormFloat64()
+				if trial > 1 {
+					p := pairs[rng.Intn(len(pairs))]
+					on, off = p[0], p[1]
+				}
+				want := append([]float64(nil), dst...)
+				branchy(want, mask, on, off)
+				ds := append([]float64(nil), dst...)
+				ForceBackend("scalar")
+				AddSelect(ds, mask, on, off)
+				eqBits(t, "AddSelect scalar vs branch", n, want, ds)
+				if name == "scalar" {
+					continue
+				}
+				db := append([]float64(nil), dst...)
+				ForceBackend(name)
+				AddSelect(db, mask, on, off)
+				eqBits(t, "AddSelect", n, ds, db)
+			}
+		}
+	}
+	restore := ActiveBackend()
+	defer ForceBackend(restore)
+	run(t, "scalar")
+	forEachSIMDBackend(t, run)
 }

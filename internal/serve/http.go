@@ -478,9 +478,9 @@ func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint serves the job's latest model checkpoint (the gob the
-// fitter saves every SaveEvery rounds). 404 until the first save. The file
-// lands by rename, so an open handle always reads one consistent
-// checkpoint. With ?base=1 it serves the base checkpoint instead — the
+// fitter saves every SaveEvery × BatchSize fitted answers). 404 until the
+// first save. The file lands by rename, so an open handle always reads one
+// consistent checkpoint. With ?base=1 it serves the base checkpoint instead — the
 // snapshot anchored at the journal's truncation base, which a reader must
 // seed from before replaying a truncated journal's retained suffix.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

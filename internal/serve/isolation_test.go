@@ -140,3 +140,51 @@ func TestHandlerRefusesFullQueueBeforeBody(t *testing.T) {
 		t.Fatalf("POST to a job with room: status %d (%s), want 202", rec.Code, rec.Body.String())
 	}
 }
+
+// TestRecoveryPanicIsAnError panics the re-anchor publication of a
+// recovering job, inside a sharded loop as a kernel bug would: Open must
+// return an error that names the job and carries the panic instead of
+// crashing, and once the fault is gone the same directory recovers.
+func TestRecoveryPanicIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	reg := mustOpen(t, Config{Dir: dir, BatchWait: time.Millisecond})
+	job, err := reg.Create(JobSpec{ID: "fragile", Items: 40, Workers: 8, Labels: 4, Model: core.Config{Seed: 1, BatchSize: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]answers.Answer, 16)
+	for i := range b {
+		b[i] = answers.Answer{Item: i % 40, Worker: i % 8, Labels: labelset.Of(i % 4)}
+	}
+	if err := job.Ingest(b); err != nil {
+		t.Fatal(err)
+	}
+	want := waitSnapshot(t, job, 16)
+	reg.CrashAll()
+
+	recoverHook = func(j *Job) {
+		mat.ParallelFor(4, 4, func(s, _, _ int) {
+			if s == 1 {
+				panic("injected recovery fault")
+			}
+		})
+	}
+	t.Cleanup(func() { recoverHook = nil })
+	if reg, err := Open(Config{Dir: dir}); err == nil {
+		reg.Close()
+		t.Fatal("Open recovered a job whose re-anchor publication panicked")
+	} else if msg := err.Error(); !strings.Contains(msg, `"fragile"`) || !strings.Contains(msg, "injected recovery fault") {
+		t.Fatalf("Open error %q does not name the job and carry the panic", msg)
+	}
+
+	recoverHook = nil
+	reg = mustOpen(t, Config{Dir: dir})
+	defer reg.Close()
+	j, ok := reg.Get("fragile")
+	if !ok {
+		t.Fatal("the job did not recover once the fault was gone")
+	}
+	if got := j.Snapshot(); got.Answers != want.Answers || got.Round != want.Round {
+		t.Fatalf("recovered snapshot at round %d with %d answers, want round %d with %d", got.Round, got.Answers, want.Round, want.Answers)
+	}
+}

@@ -87,9 +87,10 @@ type Job struct {
 	// durable against power loss too.
 	sync bool
 
-	// replayed counts the fit rounds recovery replayed past the loaded
+	// replayed counts the answers recovery replayed past the loaded
 	// checkpoint. They seed the fitter's checkpoint cadence, so a job
-	// killed again soon after a reopen replays fewer than SaveEvery rounds.
+	// killed again soon after a reopen replays fewer than SaveEvery ×
+	// BatchSize answers.
 	replayed int
 
 	wg sync.WaitGroup
@@ -688,13 +689,13 @@ var batchPool = sync.Pool{New: func() any { return new([]answers.Answer) }}
 
 func (j *Job) run() {
 	defer j.wg.Done()
-	roundsSinceSave := j.replayed
+	sinceSave := j.replayed
 	for {
 		bp, ok := j.nextBatch()
 		if !ok {
 			return
 		}
-		err := j.fitGuarded(*bp, &roundsSinceSave)
+		err := j.fitGuarded(*bp, &sinceSave)
 		// PartialFit copies what it keeps (label sets are flattened into the
 		// model's own storage), so the batch recycles as soon as the round
 		// is done. Clear the entries so pooled memory doesn't pin label
@@ -719,7 +720,7 @@ var fitRoundHook func(j *Job)
 // run latches the error as the job's failure and stops the fitter, so the
 // job's ingests fail through admission and its JobStats.Error reports the
 // panic, while every other job keeps serving.
-func (j *Job) fitGuarded(batch []answers.Answer, roundsSinceSave *int) (err error) {
+func (j *Job) fitGuarded(batch []answers.Answer, sinceSave *int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: fitter panic: %v", r)
@@ -729,7 +730,7 @@ func (j *Job) fitGuarded(batch []answers.Answer, roundsSinceSave *int) (err erro
 	if fitRoundHook != nil {
 		fitRoundHook(j)
 	}
-	return j.fitBatch(batch, roundsSinceSave)
+	return j.fitBatch(batch, sinceSave)
 }
 
 // minFillDiv sets the minimum fill: a queue of BatchSize/minFillDiv answers
@@ -828,16 +829,19 @@ func (j *Job) nextBatch() (*[]answers.Answer, bool) {
 // touched (plus a bounded sweep) in O(batch) instead of O(stream). Because
 // the mode lands in the journal before the publication, any published
 // snapshot — including a mid-backlog one a crash pins — is reproducible by
-// replay.
-func (j *Job) fitBatch(batch []answers.Answer, roundsSinceSave *int) error {
+// replay. sinceSave counts the answers fitted since the last checkpoint: a
+// checkpoint is due once they reach SaveEvery × BatchSize, so the
+// checkpoint I/O per answer does not depend on how full rounds are.
+func (j *Job) fitBatch(batch []answers.Answer, sinceSave *int) error {
 	if err := j.model.PartialFit(batch); err != nil {
 		return err
 	}
 	j.fitted.Add(int64(len(batch)))
 	j.rounds.Add(1)
+	saveDue := *sinceSave+len(batch) >= j.saveEvery*j.model.Config().BatchSize
 	j.mu.Lock()
 	full := len(j.queue)-j.head == 0
-	if j.truncate && j.dir != "" && *roundsSinceSave+1 >= j.saveEvery {
+	if j.truncate && j.dir != "" && saveDue {
 		// This round's checkpoint may anchor a truncation, and only a
 		// full-published round can (the retained suffix must replay from a
 		// full posterior). Force the full pipeline — the mode is journaled
@@ -866,9 +870,9 @@ func (j *Job) fitBatch(batch []answers.Answer, roundsSinceSave *int) error {
 		return err
 	}
 	if j.dir != "" {
-		*roundsSinceSave++
-		if *roundsSinceSave >= j.saveEvery {
-			*roundsSinceSave = 0
+		*sinceSave += len(batch)
+		if saveDue {
+			*sinceSave = 0
 			if err := j.saveModel(); err != nil {
 				return err
 			}

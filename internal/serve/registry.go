@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -292,12 +294,29 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 	return j, nil
 }
 
+// recoverHook, when set, runs before recovery's re-anchor publication. It
+// is a fault-injection seam for tests and must be set before Open.
+var recoverHook func(j *Job)
+
 // recoverJob rebuilds one job from its directory without starting the
 // fitter: load the spec, seed the replay engine from the newest checkpoint
 // (or a fresh model), replay the journal suffix with the original
 // mini-batch boundaries, and requeue any answers that were journaled but
-// never fitted.
-func recoverJob(dir string, cfg Config) (*Job, error) {
+// never fitted. The replay and the re-anchor publication run the fit and
+// publication kernels outside the fitter's guard, so a panic in them (on
+// this goroutine or, via mat.ParallelFor, on one of its shards) becomes an
+// error naming the job, and the journal it opened is closed: the daemon
+// reports the job instead of dying at startup.
+func recoverJob(dir string, cfg Config) (j *Job, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("serve: job %s: recovery panic: %v\n%s", filepath.Base(dir), r, debug.Stack())
+			if j != nil && j.journal != nil {
+				j.journal.Close()
+			}
+			j, err = nil, fmt.Errorf("serve: job %q: recovery panic: %v", filepath.Base(dir), r)
+		}
+	}()
 	raw, err := os.ReadFile(filepath.Join(dir, specFile))
 	if err != nil {
 		return nil, fmt.Errorf("reading spec: %w", err)
@@ -337,7 +356,7 @@ func recoverJob(dir string, cfg Config) (*Job, error) {
 		}
 	}
 
-	j := newJob(spec, rp.model, dir, cfg)
+	j = newJob(spec, rp.model, dir, cfg)
 	// A deposed primary that crashes and recovers must stay deposed: the
 	// cluster has moved ownership on, and un-fencing on restart would let it
 	// ack writes behind the new owner's back.
@@ -400,6 +419,9 @@ func recoverJob(dir string, cfg Config) (*Job, error) {
 		if err := j.journal.appendRestart(); err != nil {
 			j.journal.Close()
 			return nil, err
+		}
+		if recoverHook != nil {
+			recoverHook(j)
 		}
 		if err := j.publish(true); err != nil {
 			j.journal.Close()

@@ -149,5 +149,5 @@ func (r *replayer) counters() (ingested, fitted, rounds int64) {
 	return fitted + int64(len(r.pending)), fitted, int64(r.model.BatchRounds())
 }
 
-// replayed returns the fit rounds applied past the seed checkpoint.
-func (r *replayer) replayed() int { return r.model.BatchRounds() - int(r.seedFits) }
+// replayed returns the answers fit rounds applied past the seed checkpoint.
+func (r *replayer) replayed() int { return r.model.TotalIngested() - int(r.seedAns) }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -184,4 +186,85 @@ func TestServedEqualsReplayAcrossRoundStarts(t *testing.T) {
 		t.Fatal("job not recovered")
 	}
 	sameConsensus(t, served, job2.Snapshot())
+}
+
+// checkpointCoverage returns the answers the job's model.gob covers, or 0
+// when there is none.
+func checkpointCoverage(t testing.TB, dir, id string) int {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, "jobs", id, CheckpointFileName))
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := core.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.TotalIngested()
+}
+
+// TestSaveEveryCountsAnswers fits min-fill rounds of 8 answers at
+// BatchSize 64 and SaveEvery 2: a checkpoint is due once 128 answers have
+// been fitted since the last one, not every second round, so the fitter
+// checkpoints at 128 and 256 answers only. A kill after 288 answers and a
+// reopen carry the 32 answers fitted since the last checkpoint into the
+// cadence: the next checkpoint lands at 384, not 128 answers after the
+// reopen.
+func TestSaveEveryCountsAnswers(t *testing.T) {
+	ds := shuffledStream(t, 0.08, 3)
+	dir := t.TempDir()
+	const id = "cadence"
+	// Each round starts after the previous one's checkpoint, if any, was
+	// written: the hook records the coverage of every checkpoint the
+	// fitter has written so far.
+	var coverages []int
+	fitRoundHook = func(j *Job) {
+		if c := checkpointCoverage(t, dir, id); c > 0 && (len(coverages) == 0 || coverages[len(coverages)-1] != c) {
+			coverages = append(coverages, c)
+		}
+	}
+	t.Cleanup(func() { fitRoundHook = nil })
+	cfg := Config{Dir: dir, BatchWait: time.Hour, SaveEvery: 2}
+	all := ds.Answers()
+	feed := func(job *Job, from, to int) {
+		t.Helper()
+		for n := from; n < to; n += 8 {
+			if err := job.Ingest(all[n : n+8]); err != nil {
+				t.Fatal(err)
+			}
+			waitSnapshot(t, job, n+8)
+		}
+	}
+
+	reg := mustOpen(t, cfg)
+	job, err := reg.Create(scheduleSpec(id, ds.NumItems, ds.NumWorkers, ds.NumLabels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(job, 0, 296) // the 37th round's hook sees the 36th round's state
+	if want := []int{128, 256}; !slices.Equal(coverages, want) {
+		t.Fatalf("checkpoints covered %v answers, want %v", coverages, want)
+	}
+	if sizes := fitSizes(t, dir, id); len(sizes) != 37 || slices.ContainsFunc(sizes, func(n int) bool { return n != 8 }) {
+		t.Fatalf("fit rounds %v, want 37 of 8 answers", sizes)
+	}
+	reg.CrashAll() // 40 answers fitted past the 256-answer checkpoint
+
+	reg = mustOpen(t, cfg)
+	defer reg.Close()
+	job, ok := reg.Get(id)
+	if !ok {
+		t.Fatalf("job %s not recovered", id)
+	}
+	if job.replayed != 296-256 {
+		t.Fatalf("recovery replayed %d answers past the checkpoint, want %d", job.replayed, 296-256)
+	}
+	feed(job, 296, 400)
+	if want := []int{128, 256, 384}; !slices.Equal(coverages, want) {
+		t.Fatalf("checkpoints covered %v answers across the reopen, want %v", coverages, want)
+	}
 }

@@ -57,8 +57,11 @@ type Config struct {
 	// beyond it is rejected with ErrQueueFull (backpressure). Default 65536.
 	QueueLimit int
 
-	// SaveEvery checkpoints the model posterior to gob every N fit rounds
-	// (plus once on clean shutdown). Default 16.
+	// SaveEvery checkpoints the model posterior to gob once the fit rounds
+	// since the last checkpoint have consumed SaveEvery × BatchSize
+	// answers (plus once on clean shutdown): every SaveEvery rounds when
+	// rounds are full, and as often per answer when they are not.
+	// Default 16.
 	SaveEvery int
 
 	// BatchWait bounds how long queued answers wait for a round when
